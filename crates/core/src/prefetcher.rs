@@ -15,6 +15,15 @@
 //!    stream is refetched on its next traversal;
 //! 6. fetching pauses after the first block whose logged hit bit is clear
 //!    (potential end of stream) and resumes if that block is demanded.
+//!
+//! The per-cycle tick pumps a core's streams only on cycles where the pump
+//! can act. After each pump the core sleeps until the earliest cycle at
+//! which, absent callbacks, it could do anything (see
+//! `TifsPrefetcher::next_wake`). A callback wakes it early when it
+//! changes what the pump would do: a fetch that touches the core's SVB or
+//! streams, a history append to a log one of its drained streams follows,
+//! or any flush. A skipped tick is exactly one the pump would have spent
+//! as a no-op, so gating changes the cost of a run, not its output.
 
 use tifs_sim::cache::SetAssocCache;
 use tifs_sim::l2::L2ReqKind;
@@ -138,6 +147,9 @@ pub struct TifsPrefetcher {
     /// prefetches (residency probes over the L1 tag ports; the paper's
     /// methodology grants FDIP the same unlimited tag bandwidth).
     l1_mirrors: Vec<SetAssocCache>,
+    /// Per-core wake cycle: [`IPrefetcher::tick`] skips a core's pump
+    /// while `now` is before it.
+    wake: Vec<u64>,
     // Counters.
     lookups: u64,
     failed_lookups: u64,
@@ -181,6 +193,7 @@ impl TifsPrefetcher {
             l1_mirrors: (0..num_cores)
                 .map(|_| SetAssocCache::new(64 * 1024, 2))
                 .collect(),
+            wake: vec![0; num_cores],
             lookups: 0,
             failed_lookups: 0,
             streams_allocated: 0,
@@ -210,7 +223,7 @@ impl TifsPrefetcher {
         let virtualized = self.virtualized();
         let (src_core, next_pos) = {
             let s = self.svbs[core].stream_mut(sid);
-            if s.exhausted || s.read_pending {
+            if s.exhausted {
                 return;
             }
             (s.src_core as usize, s.next_pos)
@@ -267,7 +280,7 @@ impl TifsPrefetcher {
                     break;
                 }
                 if s.fifo.is_empty() {
-                    if !s.exhausted && !s.read_pending {
+                    if !s.exhausted {
                         self.refill_stream(ctx, core, sid);
                         let s = &self.svbs[core].streams()[sid as usize];
                         if s.fifo.is_empty() {
@@ -327,6 +340,73 @@ impl TifsPrefetcher {
             }
         }
     }
+
+    /// One core's share of the per-cycle tick: revive streams whose log
+    /// has grown, pump, and schedule the next wake.
+    fn tick_core(&mut self, ctx: &mut PrefetchCtx<'_>, core: usize) {
+        // Streams whose IML ran dry may have new entries now.
+        for sid in 0..self.svbs[core].num_streams() as u8 {
+            let s = &self.svbs[core].streams()[sid as usize];
+            if s.active && s.exhausted {
+                let src = s.src_core as usize;
+                if self.history.is_valid(src, s.next_pos) {
+                    self.svbs[core].stream_mut(sid).exhausted = false;
+                }
+            }
+        }
+        self.pump_streams(ctx, core);
+        self.wake[core] = self.next_wake(core, ctx.now);
+    }
+
+    /// The earliest cycle after `now` at which ticking `core` could act,
+    /// provided no callback touches its streams or the history first.
+    ///
+    /// A tick acts when a prefetch arrives (the drain can evict a block
+    /// and so lower a stream's outstanding count), when a stream's IML
+    /// data becomes usable (`data_ready`), and on the next cycle while any
+    /// live stream can revive (its exhausted source log now holds
+    /// `next_pos`), prime or refill its FIFO, or issue its FIFO head under
+    /// the rate target — the last also being the retry after an MSHR
+    /// rejection. Paused streams, streams at the rate target and drained
+    /// streams wait on an arrival or a callback. Every tick skipped before
+    /// this cycle is therefore one the pump would spend as a no-op: it
+    /// claims no metadata port slot, makes no L2 request and changes no
+    /// state.
+    fn next_wake(&self, core: usize, now: u64) -> u64 {
+        let svb = &self.svbs[core];
+        let rate_target = self.cfg.rate_target;
+        let mut wake = svb.next_arrival().unwrap_or(u64::MAX);
+        for (sid, s) in svb.streams().iter().enumerate() {
+            if !s.active {
+                continue;
+            }
+            // Priming and revival run whatever the pause and data state.
+            let reads = if s.exhausted {
+                self.history.is_valid(s.src_core as usize, s.next_pos)
+            } else {
+                s.fifo.len() < rate_target
+            };
+            if reads {
+                return now + 1;
+            }
+            if self.cfg.end_of_stream && s.paused_on.is_some() {
+                continue;
+            }
+            if s.data_ready > now {
+                wake = wake.min(s.data_ready);
+                continue;
+            }
+            let acts = if s.fifo.is_empty() {
+                !s.exhausted
+            } else {
+                svb.outstanding(sid as u8) < rate_target
+            };
+            if acts {
+                return now + 1;
+            }
+        }
+        wake
+    }
 }
 
 impl IPrefetcher for TifsPrefetcher {
@@ -340,31 +420,37 @@ impl IPrefetcher for TifsPrefetcher {
         block: BlockAddr,
         kind: FetchKind,
     ) -> Option<u64> {
+        let core = ctx.core;
         // Maintain the L1 mirror: the fetched block plus the next-line
-        // prefetches it triggers.
+        // prefetches it triggers. This wakes nothing: only an issuing
+        // stream reads the mirror, and such a stream keeps its core awake.
         for d in 0..=4u64 {
-            self.l1_mirrors[ctx.core].insert(block.offset(d));
+            self.l1_mirrors[core].insert(block.offset(d));
         }
         if kind == FetchKind::L1Hit {
             // The SVB supplies blocks only after an L1 miss (paper: lookup
             // off the critical fetch path), but it observes the fetched
             // block address to retire dead entries and resume a stream
             // paused on a block that turned out L1-resident.
-            self.svbs[ctx.core].on_l1_hit(block, ctx.now);
+            let mut touched = self.svbs[core].on_l1_hit(block, ctx.now);
             // Streams paused on this block in the FIFO (not yet issued)
             // also resume past it.
-            for sid in 0..self.svbs[ctx.core].num_streams() as u8 {
-                let st = &self.svbs[ctx.core].streams()[sid as usize];
+            for sid in 0..self.svbs[core].num_streams() as u8 {
+                let st = &self.svbs[core].streams()[sid as usize];
                 if st.active && st.fifo.front().map(|e| e.block) == Some(block) {
-                    let st = self.svbs[ctx.core].stream_mut(sid);
+                    let st = self.svbs[core].stream_mut(sid);
                     st.fifo.pop_front();
                     st.paused_on = None;
+                    touched = true;
                 }
+            }
+            if touched {
+                self.wake[core] = 0;
             }
             return None;
         }
-        let core = ctx.core;
         if let Some((ready, _sid)) = self.svbs[core].take(block, ctx.now) {
+            self.wake[core] = 0;
             self.supplied += 1;
             if ready <= ctx.now {
                 self.timely_supplies += 1;
@@ -390,6 +476,7 @@ impl IPrefetcher for TifsPrefetcher {
                 st.fifo.drain(..=off);
                 st.last_use = now;
                 st.paused_on = None;
+                self.wake[core] = 0;
                 return None;
             }
         }
@@ -407,6 +494,7 @@ impl IPrefetcher for TifsPrefetcher {
         match self.index.lookup(block) {
             Some(ImlPtr { core: src, pos }) if self.history.is_valid(src as usize, pos) => {
                 let sid = self.svbs[core].allocate_stream(ctx.now, src, pos + 1);
+                self.wake[core] = 0;
                 self.streams_allocated += 1;
                 if port_delay > 0 {
                     self.svbs[core].stream_mut(sid).data_ready = ctx.now + port_delay;
@@ -432,6 +520,16 @@ impl IPrefetcher for TifsPrefetcher {
         // lookups — but is itself never waited on.
         self.ports.access(ctx.now, core);
         let pos = self.history.append(core, block, supplied);
+        // A drained stream following this log, on any core, can now revive.
+        for (svb, wake) in self.svbs.iter().zip(&mut self.wake) {
+            if svb
+                .streams()
+                .iter()
+                .any(|s| s.active && s.exhausted && usize::from(s.src_core) == core)
+            {
+                *wake = 0;
+            }
+        }
         if self.virtualized() && (pos + 1) % ENTRIES_PER_L2_BLOCK as u64 == 0 {
             // A group filled: write it back to the L2 data array.
             let addr = Self::iml_region_block(core, pos);
@@ -478,21 +576,15 @@ impl IPrefetcher for TifsPrefetcher {
         self.svbs[core].flush();
         self.history.flush_core(core);
         self.index.flush_core(core as u8);
+        // Flushes are rare: waking every core is simply the safe choice.
+        self.wake.fill(0);
     }
 
     fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
         for core in 0..self.svbs.len() {
-            // Streams whose IML ran dry may have new entries now.
-            for sid in 0..self.svbs[core].num_streams() as u8 {
-                let s = &self.svbs[core].streams()[sid as usize];
-                if s.active && s.exhausted {
-                    let src = s.src_core as usize;
-                    if self.history.is_valid(src, s.next_pos) {
-                        self.svbs[core].stream_mut(sid).exhausted = false;
-                    }
-                }
+            if ctx.now >= self.wake[core] {
+                self.tick_core(ctx, core);
             }
-            self.pump_streams(ctx, core);
         }
     }
 
@@ -550,8 +642,11 @@ impl IPrefetcher for TifsPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use tifs_sim::cmp::Cmp;
     use tifs_sim::config::SystemConfig;
+    use tifs_sim::l2::L2;
     use tifs_sim::prefetch::NullPrefetcher;
     use tifs_trace::workload::{Workload, WorkloadSpec};
     use tifs_trace::FetchRecord;
@@ -754,6 +849,174 @@ mod tests {
             pool.to_canonical_bytes(),
             "partitioning must matter under capacity pressure"
         );
+    }
+
+    /// The ungated reference: pumps every core on every cycle, checking
+    /// that each pump the wake gate would skip is a no-op — no change to
+    /// the core's SVB, the metadata ports, the counters or the L2 — and
+    /// counting those pumps in `asleep`.
+    struct EveryCycle {
+        tifs: TifsPrefetcher,
+        asleep: Rc<Cell<u64>>,
+    }
+
+    impl IPrefetcher for EveryCycle {
+        fn name(&self) -> &'static str {
+            self.tifs.name()
+        }
+
+        fn on_block_fetch(
+            &mut self,
+            ctx: &mut PrefetchCtx<'_>,
+            block: BlockAddr,
+            kind: FetchKind,
+        ) -> Option<u64> {
+            self.tifs.on_block_fetch(ctx, block, kind)
+        }
+
+        fn on_retire_fetch_miss(
+            &mut self,
+            ctx: &mut PrefetchCtx<'_>,
+            block: BlockAddr,
+            supplied: bool,
+        ) {
+            self.tifs.on_retire_fetch_miss(ctx, block, supplied);
+        }
+
+        fn on_l2_evict(&mut self, block: BlockAddr) {
+            self.tifs.on_l2_evict(block);
+        }
+
+        fn on_flush(&mut self, ctx: &mut PrefetchCtx<'_>) {
+            self.tifs.on_flush(ctx);
+        }
+
+        fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
+            for core in 0..self.tifs.svbs.len() {
+                if ctx.now >= self.tifs.wake[core] {
+                    self.tifs.tick_core(ctx, core);
+                    continue;
+                }
+                let snapshot = |t: &TifsPrefetcher, l2: &L2| {
+                    (
+                        format!("{:?} {:?}", t.svbs[core], t.ports),
+                        t.counters(),
+                        l2.stats().clone(),
+                    )
+                };
+                let before = snapshot(&self.tifs, ctx.l2);
+                self.tifs.tick_core(ctx, core);
+                assert!(
+                    snapshot(&self.tifs, ctx.l2) == before,
+                    "core {core} acted at cycle {} while asleep",
+                    ctx.now
+                );
+                self.asleep.set(self.asleep.get() + 1);
+            }
+        }
+
+        fn counters(&self) -> Vec<(String, f64)> {
+            self.tifs.counters()
+        }
+
+        fn reset_counters(&mut self) {
+            self.tifs.reset_counters();
+        }
+    }
+
+    #[test]
+    fn wake_gated_tick_matches_pumping_every_cycle() {
+        let switching = WorkloadSpec::web_zeus().with_ctx_switch_period(2_000);
+        let table2 = SystemConfig::table2();
+        let few_mshrs = SystemConfig {
+            l2_mshrs: 6,
+            ..SystemConfig::table2()
+        };
+        let v = TifsConfig::virtualized();
+        let cases = [
+            ("virtualized", WorkloadSpec::web_zeus(), &table2, v),
+            (
+                "virtualized/6 MSHRs",
+                WorkloadSpec::web_zeus(),
+                &few_mshrs,
+                v,
+            ),
+            (
+                "dedicated/ctx-switch",
+                switching.clone(),
+                &table2,
+                TifsConfig::dedicated(),
+            ),
+            (
+                "unbounded/no EOS",
+                WorkloadSpec::oltp_db2(),
+                &table2,
+                TifsConfig {
+                    end_of_stream: false,
+                    ..TifsConfig::unbounded()
+                },
+            ),
+            (
+                "quota w1/ctx-switch",
+                switching,
+                &table2,
+                TifsConfig {
+                    metadata: MetadataOrg::shared_quota(1),
+                    ..v
+                },
+            ),
+            (
+                "pool w2/24 entries",
+                WorkloadSpec::web_zeus(),
+                &table2,
+                TifsConfig {
+                    storage: ImlStorage::Virtualized {
+                        entries_per_core: 24,
+                    },
+                    metadata: MetadataOrg::shared_pool(2),
+                    ..v
+                },
+            ),
+            (
+                "rate 1/1 context",
+                WorkloadSpec::oltp_db2(),
+                &table2,
+                TifsConfig {
+                    rate_target: 1,
+                    stream_contexts: 1,
+                    ..v
+                },
+            ),
+            (
+                "rate 0",
+                WorkloadSpec::oltp_db2(),
+                &table2,
+                TifsConfig {
+                    rate_target: 0,
+                    ..v
+                },
+            ),
+        ];
+        for (label, spec, sys, tifs) in cases {
+            let w = Workload::build(&spec, 11);
+            let run = |pf: Box<dyn IPrefetcher + '_>| {
+                let streams: Vec<_> = (0..sys.num_cores)
+                    .map(|c| Box::new(w.walker(c)) as Box<dyn Iterator<Item = FetchRecord>>)
+                    .collect();
+                Cmp::new(sys.clone(), streams, pf).run_with_warmup(2_000, 5_000)
+            };
+            let gated = run(Box::new(TifsPrefetcher::new(sys.num_cores, tifs)));
+            let asleep = Rc::new(Cell::new(0));
+            let reference = run(Box::new(EveryCycle {
+                tifs: TifsPrefetcher::new(sys.num_cores, tifs),
+                asleep: Rc::clone(&asleep),
+            }));
+            assert!(
+                gated.to_canonical_bytes() == reference.to_canonical_bytes(),
+                "{label}: gated report differs from the every-cycle one"
+            );
+            assert!(asleep.get() > 0, "{label}: the gate never skipped a tick");
+        }
     }
 
     #[test]

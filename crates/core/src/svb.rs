@@ -42,8 +42,6 @@ pub struct StreamCtx {
     /// Cycle after which FIFO contents are usable (virtualized IML read
     /// latency).
     pub data_ready: u64,
-    /// An IML group read is in flight.
-    pub read_pending: bool,
     /// The IML has no further entries for this stream.
     pub exhausted: bool,
     /// LRU timestamp.
@@ -61,7 +59,6 @@ impl StreamCtx {
             fifo: VecDeque::new(),
             paused_on: None,
             data_ready: 0,
-            read_pending: false,
             exhausted: false,
             last_use: 0,
             generation: 0,
@@ -139,6 +136,12 @@ impl Svb {
         self.inflight.insert(ready, block, (stream, generation));
     }
 
+    /// Cycle at which the earliest in-flight prefetch arrives, if any.
+    pub fn next_arrival(&self) -> Option<u64> {
+        // The fill queue iterates in descending (ready, block) order.
+        self.inflight.iter().last().map(|&(ready, _, _)| ready)
+    }
+
     /// Moves arrived prefetches into the buffer; evictions of never-used
     /// blocks count as discards (paper Section 6.4).
     pub fn drain_arrivals(&mut self, now: u64) {
@@ -163,8 +166,9 @@ impl Svb {
 
     /// The fetch unit hit `block` in the L1: a streamed copy (if any) is
     /// dead weight — drop it, resume a stream paused on it, and charge a
-    /// discard (the prefetch was wasted traffic).
-    pub fn on_l1_hit(&mut self, block: BlockAddr, now: u64) {
+    /// discard (the prefetch was wasted traffic). Returns whether a copy
+    /// was dropped.
+    pub fn on_l1_hit(&mut self, block: BlockAddr, now: u64) -> bool {
         let entry = if let Some(pos) = self.buffer.iter().position(|e| e.block == block) {
             Some(self.buffer.remove(pos))
         } else {
@@ -177,7 +181,7 @@ impl Svb {
                     generation,
                 })
         };
-        let Some(e) = entry else { return };
+        let Some(e) = entry else { return false };
         self.discards += 1;
         let sid = e.stream as usize;
         if sid < self.streams.len() {
@@ -189,6 +193,7 @@ impl Svb {
                 }
             }
         }
+        true
     }
 
     /// Blocks currently charged to stream `sid` (in flight + unconsumed).
@@ -224,7 +229,6 @@ impl Svb {
             fifo: VecDeque::new(),
             paused_on: None,
             data_ready: now,
-            read_pending: false,
             exhausted: false,
             last_use: now,
             generation,

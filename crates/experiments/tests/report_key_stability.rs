@@ -14,7 +14,7 @@
 //! bool). Update these pins only with a deliberate, store-invalidating
 //! key-format bump, and say so in the commit.
 
-use tifs_core::{MetadataOrg, TifsConfig, TifsGrammarConfig};
+use tifs_core::{ImlStorage, MetadataOrg, TifsConfig, TifsGrammarConfig};
 use tifs_experiments::engine::{
     report_key, report_key_cell, run_cell, run_cell_sharded, run_cell_sharded_contended, ExecMode,
     SystemSpec,
@@ -203,10 +203,51 @@ fn shared_pool() -> SystemSpec {
     )
 }
 
+fn shared_quota_1port() -> SystemSpec {
+    SystemSpec::tifs(
+        "shared-quota/w1",
+        TifsConfig {
+            metadata: MetadataOrg::shared_quota(1),
+            ..TifsConfig::virtualized()
+        },
+    )
+}
+
+/// A 2-port pool of 96 entries per core, small enough that pooled
+/// eviction runs inside the 12k-instruction windows.
+fn shared_pool_2port_small() -> SystemSpec {
+    SystemSpec::tifs(
+        "shared-pool/w2/96",
+        TifsConfig {
+            storage: ImlStorage::Virtualized {
+                entries_per_core: 96,
+            },
+            metadata: MetadataOrg::shared_pool(2),
+            ..TifsConfig::virtualized()
+        },
+    )
+}
+
+/// Context switches every ~3k instructions: several flushes per core
+/// inside the 12k-instruction windows.
+fn web_zeus_switching() -> WorkloadSpec {
+    WorkloadSpec::web_zeus().with_ctx_switch_period(3_000)
+}
+
+/// Table II with so few L2 MSHRs that prefetch and IML-read requests
+/// are rejected and retried.
+fn few_mshrs() -> SystemConfig {
+    SystemConfig {
+        l2_mshrs: 6,
+        ..SystemConfig::table2()
+    }
+}
+
 struct BytePin {
     label: &'static str,
     spec: fn() -> WorkloadSpec,
     system: fn() -> SystemSpec,
+    sys: fn() -> SystemConfig,
     mode: ExecMode,
     fnv: u64,
 }
@@ -216,6 +257,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/next-line/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::NextLine),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0x579b_3738_f0ad_862a,
     },
@@ -223,6 +265,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/fdip/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::Fdip),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0x284a_796b_1037_2b65,
     },
@@ -230,6 +273,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "oltp_db2/discontinuity/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Discontinuity),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0xd504_6722_78ae_138c,
     },
@@ -237,6 +281,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "oltp_db2/tifs-virtualized/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0x8f2d_9eb6_e563_b0bb,
     },
@@ -244,6 +289,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "dss_qry2/tifs-dedicated/coupled",
         spec: WorkloadSpec::dss_qry2,
         system: || SystemSpec::Kind(SystemKind::TifsDedicated),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0x2150_c656_ae8c_db92,
     },
@@ -251,6 +297,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/tifs-unbounded/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsUnbounded),
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0x4804_4d28_6c8c_1382,
     },
@@ -258,6 +305,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/tifs-virtualized/sharded",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
+        sys: SystemConfig::table2,
         mode: ExecMode::Sharded,
         fnv: 0x4a8b_c73c_c398_e8a3,
     },
@@ -265,6 +313,7 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/tifs-virtualized/contended",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
+        sys: SystemConfig::table2,
         mode: ExecMode::ShardedContended,
         fnv: 0x7c3c_0c23_3f3d_7bd8,
     },
@@ -272,19 +321,72 @@ const BYTE_PINS: &[BytePin] = &[
         label: "oltp_db2/shared-pool/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: shared_pool,
+        sys: SystemConfig::table2,
         mode: ExecMode::Coupled,
         fnv: 0xdd78_27cb_7370_15e8,
+    },
+    // Rows below were captured before the wake-gated TIFS tick and the
+    // decode-free FDIP exploration landed: they reach the paths those
+    // changes must leave untouched (flushes, port-contended streams,
+    // MSHR-rejected refills and issues, a second FDIP program image).
+    BytePin {
+        label: "web_zeus+ctx-switch/tifs-virtualized/coupled",
+        spec: web_zeus_switching,
+        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
+        sys: SystemConfig::table2,
+        mode: ExecMode::Coupled,
+        fnv: 0x77b2_419e_1bc2_9a20,
+    },
+    BytePin {
+        label: "dss_qry2/shared-quota-w1/coupled",
+        spec: WorkloadSpec::dss_qry2,
+        system: shared_quota_1port,
+        sys: SystemConfig::table2,
+        mode: ExecMode::Coupled,
+        fnv: 0xfe3a_bae6_bdef_eeb4,
+    },
+    BytePin {
+        label: "web_zeus/shared-pool-w2-96/coupled",
+        spec: WorkloadSpec::web_zeus,
+        system: shared_pool_2port_small,
+        sys: SystemConfig::table2,
+        mode: ExecMode::Coupled,
+        fnv: 0xe31d_0199_0e0e_0126,
+    },
+    BytePin {
+        label: "oltp_db2/fdip/coupled",
+        spec: WorkloadSpec::oltp_db2,
+        system: || SystemSpec::Kind(SystemKind::Fdip),
+        sys: SystemConfig::table2,
+        mode: ExecMode::Coupled,
+        fnv: 0x2db5_1d67_aa10_d98e,
+    },
+    BytePin {
+        label: "web_zeus/tifs-virtualized/coupled/6-mshrs",
+        spec: WorkloadSpec::web_zeus,
+        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
+        sys: few_mshrs,
+        mode: ExecMode::Coupled,
+        fnv: 0x1906_70f8_7996_b3f9,
+    },
+    BytePin {
+        label: "web_zeus+ctx-switch/fdip/coupled/6-mshrs",
+        spec: web_zeus_switching,
+        system: || SystemSpec::Kind(SystemKind::Fdip),
+        sys: few_mshrs,
+        mode: ExecMode::Coupled,
+        fnv: 0x7e47_6668_e9ef_3893,
     },
 ];
 
 #[test]
 fn pre_overhaul_report_bytes_are_unchanged() {
     let exp = byte_exp();
-    let sys = SystemConfig::table2();
     let mut drifted = Vec::new();
     for pin in BYTE_PINS {
         let workload = Workload::build(&(pin.spec)(), exp.seed);
         let system = (pin.system)();
+        let sys = (pin.sys)();
         let report = match pin.mode {
             ExecMode::Coupled => run_cell(&workload, &system, &exp, &sys),
             ExecMode::Sharded => run_cell_sharded(&workload, &system, &exp, &sys, 2),
@@ -307,6 +409,31 @@ fn pre_overhaul_report_bytes_are_unchanged() {
          reproduce. A structural change leaked into simulated behavior:\n  {}",
         drifted.join("\n  ")
     );
+}
+
+#[test]
+fn byte_pins_reach_flush_retry_and_pool_paths() {
+    // The flush, few-MSHR and small-pool rows above only guard those
+    // paths if the cells actually take them inside the pinned budget.
+    let exp = byte_exp();
+    let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
+    let switching = Workload::build(&web_zeus_switching(), exp.seed);
+    let report = run_cell(&switching, &system, &exp, &SystemConfig::table2());
+    assert!(
+        report.cores.iter().all(|c| c.flushes > 0),
+        "every core must context-switch inside the window"
+    );
+    let workload = Workload::build(&WorkloadSpec::web_zeus(), exp.seed);
+    let report = run_cell(&workload, &system, &exp, &few_mshrs());
+    assert!(report.l2.mshr_rejects > 0, "6 MSHRs must reject requests");
+    let report = run_cell(
+        &workload,
+        &shared_pool_2port_small(),
+        &exp,
+        &SystemConfig::table2(),
+    );
+    assert!(report.prefetcher_counter("iml_pool_evictions").unwrap() > 0.0);
+    assert!(report.prefetcher_counter("meta_port_conflicts").unwrap() > 0.0);
 }
 
 #[test]

@@ -13,6 +13,14 @@
 //! the explored path is discarded and exploration restarts at the resolved
 //! PC — the restart cost that limits FDIP on hammock-heavy code (paper
 //! Section 3.2).
+//!
+//! The exploration cursor carries the decoded function and instruction
+//! index of the PC it points at, so each step derives its successor's
+//! position directly: fall-through within a function, taken conditional
+//! branches and jumps stay in the same function, and a direct call enters
+//! its callee at index 0. Only targets read from the RAS or BTB (returns,
+//! indirect calls), restarts, and fall-through past a function's last op
+//! search the function table ([`Program::decode`]).
 
 use std::collections::VecDeque;
 
@@ -21,7 +29,7 @@ use tifs_sim::cache::SetAssocCache;
 use tifs_sim::collections::FillQueue;
 use tifs_sim::l2::L2ReqKind;
 use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
-use tifs_trace::program::{CalleeSpec, Program, StaticOp};
+use tifs_trace::program::{CalleeSpec, InstrRef, Program, StaticOp};
 use tifs_trace::{Addr, BlockAddr, BranchKind, FetchRecord};
 
 use crate::buffer::PrefetchBuffer;
@@ -50,6 +58,20 @@ impl Default for FdipConfig {
     }
 }
 
+/// The next instruction to explore: its PC and where it decodes to.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    pc: Addr,
+    at: InstrRef,
+}
+
+impl Cursor {
+    /// Decodes `pc` through the function table; `None` if unmapped.
+    fn decode(program: &Program, pc: Addr) -> Option<Cursor> {
+        program.decode(pc).map(|at| Cursor { pc, at })
+    }
+}
+
 struct FdipCore {
     // Committed-side predictor state (trained at fetch).
     bpred: HybridPredictor,
@@ -57,7 +79,7 @@ struct FdipCore {
     btb: TargetBuffer,
     l1_mirror: SetAssocCache,
     // Speculative exploration state.
-    explore_pc: Option<Addr>,
+    explore: Option<Cursor>,
     spec_history: u64,
     spec_ras: ReturnAddressStack,
     path: VecDeque<(Addr, bool)>,
@@ -80,7 +102,7 @@ impl FdipCore {
             ras: ReturnAddressStack::new(32),
             btb: TargetBuffer::new(4096),
             l1_mirror: SetAssocCache::new(64 * 1024, 2),
-            explore_pc: None,
+            explore: None,
             spec_history: 0,
             spec_ras: ReturnAddressStack::new(32),
             path: VecDeque::new(),
@@ -95,8 +117,8 @@ impl FdipCore {
         }
     }
 
-    fn restart_from(&mut self, pc: Addr) {
-        self.explore_pc = Some(pc);
+    fn restart_from(&mut self, program: &Program, pc: Addr) {
+        self.explore = Cursor::decode(program, pc);
         self.spec_history = self.bpred.history();
         self.spec_ras = self.ras.clone();
         self.path.clear();
@@ -146,13 +168,14 @@ impl<'p> Fdip<'p> {
         program: &Program,
         ctx: &mut PrefetchCtx<'_>,
     ) -> ExploreOutcome {
-        let Some(pc) = core.explore_pc else {
+        let Some(Cursor { pc, at }) = core.explore else {
             return ExploreOutcome::Paused;
         };
-        let Some(iref) = program.decode(pc) else {
-            core.explore_pc = None;
-            return ExploreOutcome::Paused;
-        };
+        debug_assert_eq!(
+            program.decode(pc),
+            Some(at),
+            "exploration cursor out of step with the function table at {pc:?}"
+        );
         // Prefetch the block the exploration crosses into.
         let block = pc.block();
         if core.last_explored_block != Some(block) {
@@ -168,37 +191,55 @@ impl<'p> Fdip<'p> {
             }
         }
 
-        let func = iref.func;
-        let op = &program.function(func).ops[iref.idx as usize];
+        let func = program.function(at.func);
+        let op = &func.ops[at.idx as usize];
+        let within = |idx: u32| Cursor {
+            pc: func.addr_of(idx),
+            at: InstrRef { func: at.func, idx },
+        };
+        // Past the last op, fall-through may run into the next function.
+        let fall_through = || {
+            if at.idx as usize + 1 < func.ops.len() {
+                Some(within(at.idx + 1))
+            } else {
+                Cursor::decode(program, pc.add_instrs(1))
+            }
+        };
         let mut counted_branch = false;
-        let next: Option<Addr> = match op {
-            StaticOp::Plain { .. } => Some(pc.add_instrs(1)),
+        let next: Option<Cursor> = match op {
+            StaticOp::Plain { .. } => fall_through(),
             StaticOp::CondBranch { target, .. } => {
                 counted_branch = true;
                 let taken = core.bpred.predict_with_history(pc, core.spec_history);
                 core.spec_history = (core.spec_history << 1) | u64::from(taken);
                 if taken {
-                    Some(program.addr_of(func, *target))
+                    Some(within(*target))
                 } else {
-                    Some(pc.add_instrs(1))
+                    fall_through()
                 }
             }
-            StaticOp::Jump { target } => Some(program.addr_of(func, *target)),
+            StaticOp::Jump { target } => Some(within(*target)),
             StaticOp::Call(spec) => {
                 core.spec_ras.push(pc.add_instrs(1));
                 match spec {
-                    CalleeSpec::Direct(c) => Some(program.function(*c).base),
+                    CalleeSpec::Direct(c) => Some(Cursor {
+                        pc: program.function(*c).base,
+                        at: InstrRef { func: *c, idx: 0 },
+                    }),
                     // Indirect target: only the BTB can guess it.
-                    CalleeSpec::Indirect(_) => core.btb.predict(pc),
+                    CalleeSpec::Indirect(_) => core
+                        .btb
+                        .predict(pc)
+                        .and_then(|t| Cursor::decode(program, t)),
                 }
             }
-            StaticOp::Return => core.spec_ras.pop(),
+            StaticOp::Return => core.spec_ras.pop().and_then(|t| Cursor::decode(program, t)),
         };
         core.path.push_back((pc, counted_branch));
         if counted_branch {
             core.branches_in_path += 1;
         }
-        core.explore_pc = next;
+        core.explore = next;
         if next.is_none() {
             return ExploreOutcome::Paused;
         }
@@ -240,14 +281,14 @@ impl IPrefetcher for Fdip<'_> {
                 if rec.trap {
                     core.path.clear();
                     core.branches_in_path = 0;
-                    core.explore_pc = None;
+                    core.explore = None;
                     core.restart_pending = true;
                 } else {
                     let next = match rec.branch {
                         Some(b) if b.taken => b.target,
                         _ => rec.fall_through(),
                     };
-                    core.restart_from(next);
+                    core.restart_from(self.program, next);
                 }
                 return;
             }
@@ -258,11 +299,11 @@ impl IPrefetcher for Fdip<'_> {
                 Some(b) if b.taken => b.target,
                 _ => rec.fall_through(),
             };
-            core.restart_from(next);
+            core.restart_from(self.program, next);
         } else if rec.trap {
             core.path.clear();
             core.branches_in_path = 0;
-            core.explore_pc = None;
+            core.explore = None;
             core.restart_pending = true;
         }
     }
@@ -337,7 +378,7 @@ impl IPrefetcher for Fdip<'_> {
         core.bpred = HybridPredictor::table2();
         core.ras = ReturnAddressStack::new(32);
         core.btb = TargetBuffer::new(4096);
-        core.explore_pc = None;
+        core.explore = None;
         core.spec_history = 0;
         core.spec_ras = ReturnAddressStack::new(32);
         core.path.clear();
@@ -424,6 +465,72 @@ mod tests {
             fdip.aggregate_ipc(),
             base.aggregate_ipc()
         );
+    }
+
+    /// Back-to-back functions that do not end in `Return`: exploration
+    /// runs off `f0`'s last op into the adjacent `f1`, through a direct
+    /// call, a return and a jump on the way, and pauses where `f1` runs
+    /// off into unmapped space.
+    #[test]
+    fn exploration_falls_through_function_ends() {
+        use tifs_sim::l2::L2;
+        use tifs_trace::program::{FuncId, Function, PlainMem};
+
+        let plain = |n: usize| {
+            (0..n).map(|_| StaticOp::Plain {
+                mem: PlainMem::None,
+            })
+        };
+        let f0_base = Addr(0x1_0000);
+        let mut f0_ops: Vec<StaticOp> = plain(10).collect();
+        f0_ops.push(StaticOp::Call(CalleeSpec::Direct(FuncId(2))));
+        f0_ops.extend(plain(5));
+        let f1_base = f0_base.add_instrs(f0_ops.len() as u64);
+        let mut f1_ops: Vec<StaticOp> = plain(20).collect();
+        f1_ops.push(StaticOp::Jump { target: 25 });
+        f1_ops.extend(plain(14));
+        let f2_base = Addr(0x2_0000);
+        let mut f2_ops: Vec<StaticOp> = plain(3).collect();
+        f2_ops.push(StaticOp::Return);
+        let program = Program::new(vec![
+            Function {
+                base: f0_base,
+                ops: f0_ops,
+            },
+            Function {
+                base: f1_base,
+                ops: f1_ops,
+            },
+            Function {
+                base: f2_base,
+                ops: f2_ops,
+            },
+        ]);
+
+        let mut fdip = Fdip::new(&program, 1, FdipConfig::default());
+        let mut l2 = L2::new(&SystemConfig::single_core());
+        let mut ctx = PrefetchCtx {
+            now: 0,
+            core: 0,
+            l2: &mut l2,
+        };
+        // The first committed instruction restarts exploration after it.
+        fdip.on_fetch_instr(&mut ctx, &FetchRecord::plain(f0_base));
+        for now in 0..64 {
+            ctx.now = now;
+            fdip.tick(&mut ctx);
+        }
+
+        let at = |base: Addr, idx: std::ops::Range<u64>| idx.map(move |i| base.add_instrs(i));
+        let expected: Vec<Addr> = at(f0_base, 1..11) // up to and including the call
+            .chain(at(f2_base, 0..4)) // the callee, through its return
+            .chain(at(f0_base, 11..16)) // back in f0, to its last op
+            .chain(at(f1_base, 0..21)) // fell through into f1, up to the jump
+            .chain(at(f1_base, 25..35)) // the jump target, to f1's last op
+            .collect();
+        let explored: Vec<Addr> = fdip.cores[0].path.iter().map(|&(pc, _)| pc).collect();
+        assert_eq!(explored, expected);
+        assert_eq!(fdip.cores[0].restarts, 1);
     }
 
     #[test]
