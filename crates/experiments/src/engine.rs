@@ -81,7 +81,7 @@ use tifs_trace::codec::REPORT_VERSION;
 use tifs_trace::store::{
     hash_workload_spec, Fingerprint, ReportKey, ReportStore, TraceKey, TraceStore,
 };
-use tifs_trace::workload::{CellPrograms, CellWorkload, Workload, WorkloadSpec};
+use tifs_trace::workload::{distinct_shapes, CellPrograms, CellWorkload, Workload, WorkloadSpec};
 use tifs_trace::{BlockAddr, FetchRecord};
 
 use crate::harness::{ExpConfig, SystemKind};
@@ -694,10 +694,12 @@ fn load_cached_report(store: &ReportStore, key: &ReportKey) -> Option<SimReport>
 /// environment (as [`fig_sharing`](crate::figures::fig_sharing) does).
 ///
 /// With a [`ReportStore`] attached to `lab`, each cell consults the store
-/// under its [`report_key_cell`] first; only missing cells build their
-/// [`CellPrograms`] and simulate (fanned across `threads` workers), then
-/// write through. Cached cells skip the program build entirely, so a warm
-/// run is all store reads.
+/// under its [`report_key_cell`] first; only rows with missing cells get
+/// [`CellPrograms`] ([`build_cell_programs`]: each distinct program image
+/// built once and shared by every slot and row that walks it) and
+/// simulate (fanned across `threads` workers), then write through. Cached
+/// cells skip the program build entirely, so a warm run is all store
+/// reads.
 pub fn run_mix_cells(
     lab: &Lab,
     sys: &SystemConfig,
@@ -737,9 +739,7 @@ pub fn run_mix_cells(
     for &(c, _) in &missing {
         need[c] = true;
     }
-    let programs: Vec<Option<CellPrograms>> = par::map(cells, threads, |i, cell| {
-        need[i].then(|| CellPrograms::build(cell, exp.seed))
-    });
+    let programs = build_cell_programs(cells, &need, exp.seed, threads);
     let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(c, s)| {
         let programs = programs[c]
             .as_ref()
@@ -769,6 +769,33 @@ pub fn run_mix_cells(
         rows[c].push(report.expect("every cell resolved"));
     }
     rows
+}
+
+/// The [`CellPrograms`] of every cell whose `need` flag is set (`None`
+/// elsewhere), with each distinct program image built once: one slot-0
+/// build per shape among the needed cells ([`distinct_shapes`]), fanned
+/// across `threads` workers, from which every needed cell is assembled.
+/// Slots and rows whose specs differ only in slot, duty cycle or
+/// context-switch period share one image; different shapes never do.
+pub fn build_cell_programs(
+    cells: &[CellWorkload],
+    need: &[bool],
+    seed: u64,
+    threads: usize,
+) -> Vec<Option<CellPrograms>> {
+    let shapes = distinct_shapes(
+        cells
+            .iter()
+            .zip(need)
+            .filter(|&(_, &n)| n)
+            .map(|(cell, _)| cell),
+    );
+    let images = par::map(&shapes, threads, |_, spec| Workload::build(spec, seed));
+    cells
+        .iter()
+        .zip(need)
+        .map(|(cell, &n)| n.then(|| CellPrograms::assemble(cell, seed, &images)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

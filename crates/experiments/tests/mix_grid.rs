@@ -13,12 +13,12 @@
 //!   the cold run's (and the storeless golden run's: the store is a
 //!   pure cache).
 
-use tifs_experiments::engine::Lab;
+use tifs_experiments::engine::{build_cell_programs, Lab};
 use tifs_experiments::figures::fig_mix::{self, MixCell};
 use tifs_experiments::harness::ExpConfig;
 use tifs_experiments::sink;
-use tifs_trace::store::ReportStore;
-use tifs_trace::workload::{CellWorkload, WorkloadSpec};
+use tifs_trace::store::{hash_workload_spec, Fingerprint, ReportStore};
+use tifs_trace::workload::{CellWorkload, Workload, WorkloadSpec};
 
 /// Reduced grid: 2 cores, one pinching budget, and a two-tenant fleet
 /// built from `tiny_server` variants (whose hot text overflows the
@@ -162,4 +162,60 @@ fn mix_grid_cold_warm_is_all_hits_and_byte_identical() {
     let plain = fig_mix::structured(&run_small(&small_lab(), None));
     assert_eq!(sink::to_json(&plain), sink::to_json(&warm));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The rows `fig_mix::run_on` builds (the default scenarios at
+/// `MIX_CORES`, each with and without flush) share one program image per
+/// shape: slots whose specs differ only in slot, duty cycle or
+/// context-switch period walk one image, and different shapes never do.
+#[test]
+fn default_mix_rows_share_one_image_per_program_shape() {
+    let flushed = |spec: &WorkloadSpec| spec.clone().with_ctx_switch_period(fig_mix::FLUSH_PERIOD);
+    let cells: Vec<CellWorkload> = fig_mix::default_scenarios(fig_mix::MIX_CORES)
+        .into_iter()
+        .flat_map(|(_, cell)| {
+            let with_flush = match &cell {
+                CellWorkload::Homogeneous(spec) => CellWorkload::Homogeneous(flushed(spec)),
+                CellWorkload::Mix(specs) => CellWorkload::Mix(specs.iter().map(flushed).collect()),
+            };
+            [cell, with_flush]
+        })
+        .collect();
+    let rows = build_cell_programs(&cells, &vec![true; cells.len()], 42, 2);
+    let slots: Vec<&Workload> = rows
+        .iter()
+        .flat_map(|row| row.as_ref().expect("every row is needed").slots())
+        .collect();
+    assert_eq!(slots.len(), 14);
+    // The spec with the two knobs the builder reads into ExecConfig alone
+    // at their defaults.
+    let shape = |spec: &WorkloadSpec| {
+        let mut h = Fingerprint::new();
+        hash_workload_spec(
+            &mut h,
+            &WorkloadSpec {
+                duty_cycle: 1.0,
+                ctx_switch_period: 0,
+                ..spec.clone()
+            },
+        );
+        h.finish()
+    };
+    let mut images: Vec<&Workload> = Vec::new();
+    for (i, a) in slots.iter().enumerate() {
+        for b in &slots[i + 1..] {
+            assert_eq!(
+                a.program.shares_image(&b.program),
+                shape(&a.spec) == shape(&b.spec),
+                "{} and {}",
+                a.spec.name,
+                b.spec.name
+            );
+        }
+        if !images.iter().any(|w| w.program.shares_image(&a.program)) {
+            images.push(a);
+        }
+    }
+    let names: Vec<&str> = images.iter().map(|w| w.spec.name).collect();
+    assert_eq!(names, ["OLTP DB2", "OLTP Oracle", "DSS Qry2", "DSS Qry17"]);
 }

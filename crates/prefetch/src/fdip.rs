@@ -29,7 +29,7 @@ use tifs_sim::cache::SetAssocCache;
 use tifs_sim::collections::FillQueue;
 use tifs_sim::l2::L2ReqKind;
 use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
-use tifs_trace::program::{CalleeSpec, InstrRef, Program, StaticOp};
+use tifs_trace::program::{Callee, InstrRef, Op, Program};
 use tifs_trace::{Addr, BlockAddr, BranchKind, FetchRecord};
 
 use crate::buffer::PrefetchBuffer;
@@ -191,49 +191,47 @@ impl<'p> Fdip<'p> {
             }
         }
 
-        let func = program.function(at.func);
-        let op = &func.ops[at.idx as usize];
         let within = |idx: u32| Cursor {
-            pc: func.addr_of(idx),
+            pc: program.addr_of(at.func, idx),
             at: InstrRef { func: at.func, idx },
         };
         // Past the last op, fall-through may run into the next function.
         let fall_through = || {
-            if at.idx as usize + 1 < func.ops.len() {
+            if at.idx + 1 < program.function_len(at.func) {
                 Some(within(at.idx + 1))
             } else {
                 Cursor::decode(program, pc.add_instrs(1))
             }
         };
         let mut counted_branch = false;
-        let next: Option<Cursor> = match op {
-            StaticOp::Plain { .. } => fall_through(),
-            StaticOp::CondBranch { target, .. } => {
+        let next: Option<Cursor> = match program.op(at) {
+            Op::Plain { .. } => fall_through(),
+            Op::CondBranch { target, .. } => {
                 counted_branch = true;
                 let taken = core.bpred.predict_with_history(pc, core.spec_history);
                 core.spec_history = (core.spec_history << 1) | u64::from(taken);
                 if taken {
-                    Some(within(*target))
+                    Some(within(target))
                 } else {
                     fall_through()
                 }
             }
-            StaticOp::Jump { target } => Some(within(*target)),
-            StaticOp::Call(spec) => {
+            Op::Jump { target } => Some(within(target)),
+            Op::Call(callee) => {
                 core.spec_ras.push(pc.add_instrs(1));
-                match spec {
-                    CalleeSpec::Direct(c) => Some(Cursor {
-                        pc: program.function(*c).base,
-                        at: InstrRef { func: *c, idx: 0 },
+                match callee {
+                    Callee::Direct(c) => Some(Cursor {
+                        pc: program.addr_of(c, 0),
+                        at: InstrRef { func: c, idx: 0 },
                     }),
                     // Indirect target: only the BTB can guess it.
-                    CalleeSpec::Indirect(_) => core
+                    Callee::Indirect(_) => core
                         .btb
                         .predict(pc)
                         .and_then(|t| Cursor::decode(program, t)),
                 }
             }
-            StaticOp::Return => core.spec_ras.pop().and_then(|t| Cursor::decode(program, t)),
+            Op::Return => core.spec_ras.pop().and_then(|t| Cursor::decode(program, t)),
         };
         core.path.push_back((pc, counted_branch));
         if counted_branch {
@@ -474,7 +472,7 @@ mod tests {
     #[test]
     fn exploration_falls_through_function_ends() {
         use tifs_sim::l2::L2;
-        use tifs_trace::program::{FuncId, Function, PlainMem};
+        use tifs_trace::program::{CalleeSpec, FuncId, Function, PlainMem, StaticOp};
 
         let plain = |n: usize| {
             (0..n).map(|_| StaticOp::Plain {

@@ -19,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::program::{CalleeSpec, FuncId, Program, StaticOp};
+use crate::program::{Callee, FuncId, InstrRef, Op, PlainMem, Program};
 use crate::record::{BranchInfo, BranchKind, FetchRecord, MemClass};
 use crate::types::Addr;
 
@@ -132,12 +132,6 @@ pub const IDLE_BASE: u64 = 0x8000;
 /// backward jump).
 pub const IDLE_LOOP_LEN: u64 = 16;
 
-#[derive(Clone, Copy, Debug)]
-struct Frame {
-    func: FuncId,
-    idx: u32,
-}
-
 /// Infinite iterator over the committed instruction stream of one core.
 ///
 /// # Example
@@ -160,7 +154,8 @@ pub struct Walker<'p> {
     mix: TransactionMix,
     config: ExecConfig,
     rng: SmallRng,
-    stack: Vec<Frame>,
+    /// The next instruction of each active call, innermost last.
+    stack: Vec<InstrRef>,
     cold_cursor: usize,
     /// Instructions until the next trap fires (geometric).
     trap_countdown: u64,
@@ -242,7 +237,7 @@ impl<'p> Walker<'p> {
 
     fn start_transaction(&mut self) {
         let entry = self.mix.pick(&mut self.rng, &mut self.cold_cursor);
-        self.stack.push(Frame {
+        self.stack.push(InstrRef {
             func: entry,
             idx: 0,
         });
@@ -261,7 +256,7 @@ impl<'p> Walker<'p> {
         let h = self.config.trap_handlers[self.rng.gen_range(0..self.config.trap_handlers.len())];
         self.in_trap = true;
         self.trap_resume_depth = self.stack.len();
-        self.stack.push(Frame { func: h, idx: 0 });
+        self.stack.push(InstrRef { func: h, idx: 0 });
         true
     }
 
@@ -346,64 +341,58 @@ impl Iterator for Walker<'_> {
                 return Some(record);
             }
         }
-        let frame = *self.stack.last().expect("frame pushed above");
-        let func = self.program.function(frame.func);
-        let pc = func.addr_of(frame.idx);
-        let op = &func.ops[frame.idx as usize];
+        let at = *self.stack.last().expect("frame pushed above");
+        let pc = self.program.addr_of(at.func, at.idx);
 
         let mut record = FetchRecord::plain(pc);
-        match op {
-            StaticOp::Plain { mem } => {
-                let class = match mem {
-                    crate::program::PlainMem::Load => self.draw_load_class(),
-                    crate::program::PlainMem::Store => MemClass::Store,
-                    crate::program::PlainMem::None => MemClass::None,
+        match self.program.op(at) {
+            Op::Plain { mem } => {
+                record.mem = match mem {
+                    PlainMem::Load => self.draw_load_class(),
+                    PlainMem::Store => MemClass::Store,
+                    PlainMem::None => MemClass::None,
                 };
-                record.mem = class;
                 self.stack.last_mut().expect("frame").idx += 1;
             }
-            StaticOp::CondBranch {
+            Op::CondBranch {
                 target,
                 taken_prob,
                 inner_loop,
             } => {
-                let taken = self.rng.gen_bool(f64::from(*taken_prob).clamp(0.0, 1.0));
-                let target_addr = func.addr_of(*target);
+                let taken = self.rng.gen_bool(f64::from(taken_prob).clamp(0.0, 1.0));
                 record.branch = Some(BranchInfo {
                     kind: BranchKind::Conditional,
                     taken,
-                    target: target_addr,
-                    inner_loop: *inner_loop,
+                    target: self.program.addr_of(at.func, target),
+                    inner_loop,
                 });
                 let frame = self.stack.last_mut().expect("frame");
-                frame.idx = if taken { *target } else { frame.idx + 1 };
+                frame.idx = if taken { target } else { frame.idx + 1 };
             }
-            StaticOp::Jump { target } => {
-                let target_addr = func.addr_of(*target);
+            Op::Jump { target } => {
                 record.branch = Some(BranchInfo {
                     kind: BranchKind::Jump,
                     taken: true,
-                    target: target_addr,
+                    target: self.program.addr_of(at.func, target),
                     inner_loop: false,
                 });
-                self.stack.last_mut().expect("frame").idx = *target;
+                self.stack.last_mut().expect("frame").idx = target;
             }
-            StaticOp::Call(spec) => {
-                let callee = match spec {
-                    CalleeSpec::Direct(c) => *c,
-                    CalleeSpec::Indirect(cs) => cs[self.rng.gen_range(0..cs.len())],
+            Op::Call(callee) => {
+                let callee = match callee {
+                    Callee::Direct(c) => c,
+                    Callee::Indirect(cs) => cs[self.rng.gen_range(0..cs.len())],
                 };
-                let target_addr = self.program.function(callee).addr_of(0);
                 record.branch = Some(BranchInfo {
                     kind: BranchKind::Call,
                     taken: true,
-                    target: target_addr,
+                    target: self.program.addr_of(callee, 0),
                     inner_loop: false,
                 });
                 // Return point is the next instruction.
                 self.stack.last_mut().expect("frame").idx += 1;
                 if self.stack.len() < self.config.max_stack {
-                    self.stack.push(Frame {
+                    self.stack.push(InstrRef {
                         func: callee,
                         idx: 0,
                     });
@@ -411,7 +400,7 @@ impl Iterator for Walker<'_> {
                     // Recursion guard: treat as an immediately-returning call.
                 }
             }
-            StaticOp::Return => {
+            Op::Return => {
                 self.stack.pop();
                 let target = match self.stack.last() {
                     Some(f) => self.program.addr_of(f.func, f.idx),

@@ -1,8 +1,7 @@
 //! Static representation of a synthetic program.
 //!
 //! A [`Program`] is a set of functions laid out in a flat physical address
-//! space, each a vector of [`StaticOp`]s (one per 4-byte instruction slot).
-//! The representation serves two consumers:
+//! space. The representation serves two consumers:
 //!
 //! * the [`Walker`](crate::exec::Walker) interprets it to produce the
 //!   committed instruction stream, and
@@ -12,7 +11,19 @@
 //!
 //! Both views are consistent by construction: a single op encodes the
 //! static structure (targets, callees) while dynamic outcomes (branch
-//! directions, indirect-call choices) are drawn at execution time.
+//! directions, indirect-call choices) are drawn at execution time. Both
+//! read ops through one accessor, [`Program::op`].
+//!
+//! Generators describe code as [`StaticOp`]s ([`FunctionBuilder`],
+//! [`Function`]). A program stores them as one *image*: every function's
+//! ops packed into one exactly-sized array of 8-byte ops, appended
+//! function by function as they are generated, plus a function table and
+//! one flat table of indirect-callee sets. A `Program` is that image
+//! behind an [`Arc`] plus an address shift, so every mix slot that walks
+//! the same program shares one image.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::record::MemClass;
 use crate::types::{Addr, INSTR_BYTES};
@@ -103,12 +114,6 @@ pub struct Function {
 }
 
 impl Function {
-    /// Address of instruction `idx`.
-    #[inline]
-    pub fn addr_of(&self, idx: u32) -> Addr {
-        self.base.add_instrs(idx as u64)
-    }
-
     /// Size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.ops.len() as u64 * INSTR_BYTES
@@ -125,13 +130,281 @@ pub struct InstrRef {
     pub idx: u32,
 }
 
-/// A complete synthetic program.
+/// One op as [`Program::op`] reads it back: a [`StaticOp`] that borrows an
+/// indirect call's callee set from the image instead of owning it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Op<'p> {
+    /// See [`StaticOp::Plain`].
+    Plain {
+        /// Static memory-op class.
+        mem: PlainMem,
+    },
+    /// See [`StaticOp::CondBranch`].
+    CondBranch {
+        /// Instruction index (within this function) of the taken target.
+        target: u32,
+        /// Probability the branch is taken, exactly as generated.
+        taken_prob: f32,
+        /// Marks the backward branch of an innermost loop.
+        inner_loop: bool,
+    },
+    /// See [`StaticOp::Jump`].
+    Jump {
+        /// Instruction index of the target.
+        target: u32,
+    },
+    /// See [`StaticOp::Call`].
+    Call(Callee<'p>),
+    /// Return to the caller.
+    Return,
+}
+
+/// The callee of a call [`Op`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Callee<'p> {
+    /// Direct call: always the same callee.
+    Direct(FuncId),
+    /// Indirect call: a fresh uniform choice from the set per execution.
+    Indirect(&'p [FuncId]),
+}
+
+/// Width of a packed op's argument field.
+const ARG_BITS: u32 = 28;
+const ARG_SHIFT: u32 = 4;
+const ARG_MASK: u64 = (1 << ARG_BITS) - 1;
+const KIND_MASK: u64 = 0b111;
+const INNER_LOOP: u64 = 1 << 3;
+const PROB_SHIFT: u32 = 32;
+
+const KIND_PLAIN: u64 = 0;
+const KIND_COND_BRANCH: u64 = 1;
+const KIND_JUMP: u64 = 2;
+const KIND_CALL: u64 = 3;
+const KIND_CALL_INDIRECT: u64 = 4;
+const KIND_RETURN: u64 = 5;
+
+/// One op in 8 bytes. Bits 0..3 hold the kind and bit 3 the inner-loop
+/// flag. Bits 4..32 hold the argument: the branch or jump target index,
+/// the direct callee id, the callee-set index, or a plain op's mem class.
+/// Bits 32..64 hold the `f32` bits of a conditional branch's taken
+/// probability, so the walker draws against exactly the generated value.
+#[derive(Clone, Copy, Debug)]
+struct PackedOp(u64);
+
+impl PackedOp {
+    /// Packs `kind` with argument `arg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arg` does not fit [`ARG_BITS`] bits: a field is rejected,
+    /// never truncated.
+    fn new(kind: u64, arg: u32, what: &str) -> PackedOp {
+        assert!(
+            u64::from(arg) <= ARG_MASK,
+            "{what} {arg} does not fit the {ARG_BITS}-bit op argument"
+        );
+        PackedOp(kind | u64::from(arg) << ARG_SHIFT)
+    }
+
+    fn plain(mem: PlainMem) -> PackedOp {
+        let code = match mem {
+            PlainMem::None => 0,
+            PlainMem::Load => 1,
+            PlainMem::Store => 2,
+        };
+        PackedOp::new(KIND_PLAIN, code, "mem class")
+    }
+
+    fn cond_branch(target: u32, taken_prob: f32, inner_loop: bool) -> PackedOp {
+        let op = PackedOp::new(KIND_COND_BRANCH, target, "branch target");
+        let flag = if inner_loop { INNER_LOOP } else { 0 };
+        PackedOp(op.0 | flag | u64::from(taken_prob.to_bits()) << PROB_SHIFT)
+    }
+
+    fn jump(target: u32) -> PackedOp {
+        PackedOp::new(KIND_JUMP, target, "jump target")
+    }
+
+    fn call(callee: FuncId) -> PackedOp {
+        PackedOp::new(KIND_CALL, callee.0, "callee")
+    }
+
+    fn call_indirect(set: u32) -> PackedOp {
+        PackedOp::new(KIND_CALL_INDIRECT, set, "callee set")
+    }
+
+    fn arg(self) -> u32 {
+        ((self.0 >> ARG_SHIFT) & ARG_MASK) as u32
+    }
+}
+
+/// One function table entry: where the function lives in the image and
+/// in the (unshifted) address space.
+#[derive(Clone, Copy, Debug)]
+struct FuncEntry {
+    base: u64,
+    first: u32,
+    len: u32,
+}
+
+/// The packed ops and tables of one program, shared by every shift of it.
+#[derive(Debug)]
+struct Image {
+    ops: Box<[PackedOp]>,
+    funcs: Box<[FuncEntry]>,
+    /// Function ids sorted by base address, for decode.
+    by_base: Box<[u32]>,
+    /// Every indirect call site's callee set, back to back.
+    callees: Box<[FuncId]>,
+    /// Callee set `i` is `callees[set_bounds[i]..set_bounds[i + 1]]`.
+    set_bounds: Box<[u32]>,
+    /// Unshifted addresses from the lowest function base to the highest
+    /// function end.
+    text: Range<u64>,
+}
+
+/// Appends functions to a program image as they are generated, packing
+/// each one on arrival: the one construction path of every [`Program`].
+#[derive(Debug)]
+pub(crate) struct ImageBuilder {
+    ops: Vec<PackedOp>,
+    funcs: Vec<FuncEntry>,
+    callees: Vec<FuncId>,
+    set_bounds: Vec<u32>,
+    /// The largest callee id any call names; callees may be appended after
+    /// their callers, so the range check waits for [`finish`](Self::finish).
+    max_callee: Option<FuncId>,
+}
+
+impl ImageBuilder {
+    pub(crate) fn new() -> ImageBuilder {
+        ImageBuilder {
+            ops: Vec::new(),
+            funcs: Vec::new(),
+            callees: Vec::new(),
+            set_bounds: vec![0],
+            max_callee: None,
+        }
+    }
+
+    /// Appends a function whose first instruction is at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty, a branch or jump target lies outside the
+    /// function, an indirect call has no candidates, or a value does not
+    /// fit its packed width.
+    pub(crate) fn push(&mut self, base: Addr, ops: &[StaticOp]) -> FuncId {
+        let id = FuncId(u32::try_from(self.funcs.len()).expect("function ids fit u32"));
+        assert!(!ops.is_empty(), "function {} is empty", id.0);
+        let end = u32::try_from(self.ops.len() + ops.len())
+            .unwrap_or_else(|_| panic!("function {}: image ops do not fit a u32 index", id.0));
+        let len = u32::try_from(ops.len()).expect("bounded by end");
+        for (j, op) in ops.iter().enumerate() {
+            let packed = match op {
+                StaticOp::Plain { mem } => PackedOp::plain(*mem),
+                StaticOp::CondBranch {
+                    target,
+                    taken_prob,
+                    inner_loop,
+                } => PackedOp::cond_branch(*target, *taken_prob, *inner_loop),
+                StaticOp::Jump { target } => PackedOp::jump(*target),
+                StaticOp::Call(CalleeSpec::Direct(c)) => {
+                    self.note_callee(*c);
+                    PackedOp::call(*c)
+                }
+                StaticOp::Call(CalleeSpec::Indirect(cs)) => {
+                    assert!(
+                        !cs.is_empty(),
+                        "function {} op {j}: empty indirect set",
+                        id.0
+                    );
+                    let set = u32::try_from(self.set_bounds.len() - 1).expect("sets fit u32");
+                    let packed = PackedOp::call_indirect(set);
+                    for &c in cs {
+                        self.note_callee(c);
+                    }
+                    self.callees.extend_from_slice(cs);
+                    self.set_bounds.push(
+                        u32::try_from(self.callees.len())
+                            .expect("callee-set entries fit a u32 index"),
+                    );
+                    packed
+                }
+                StaticOp::Return => PackedOp(KIND_RETURN),
+            };
+            if let StaticOp::CondBranch { target, .. } | StaticOp::Jump { target } = op {
+                assert!(
+                    *target < len,
+                    "function {} op {j}: target {target} out of range",
+                    id.0
+                );
+            }
+            self.ops.push(packed);
+        }
+        self.funcs.push(FuncEntry {
+            base: base.0,
+            first: end - len,
+            len,
+        });
+        id
+    }
+
+    fn note_callee(&mut self, callee: FuncId) {
+        self.max_callee = self.max_callee.max(Some(callee));
+    }
+
+    /// Seals the image into an unshifted [`Program`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a call names a function that was never appended, or if
+    /// two functions overlap.
+    pub(crate) fn finish(self) -> Program {
+        let n = self.funcs.len();
+        if let Some(c) = self.max_callee {
+            assert!(c.index() < n, "callee {c:?} out of range of {n} functions");
+        }
+        let funcs = self.funcs.into_boxed_slice();
+        let mut by_base: Vec<u32> = (0..n)
+            .map(|i| u32::try_from(i).expect("function ids fit u32"))
+            .collect();
+        by_base.sort_by_key(|&i| funcs[i as usize].base);
+        for w in by_base.windows(2) {
+            let (a, b) = (funcs[w[0] as usize], funcs[w[1] as usize]);
+            assert!(
+                a.base + u64::from(a.len) * INSTR_BYTES <= b.base,
+                "functions overlap at {:#x}",
+                b.base
+            );
+        }
+        let text = match (by_base.first(), by_base.last()) {
+            (Some(&lo), Some(&hi)) => {
+                let (lo, hi) = (funcs[lo as usize], funcs[hi as usize]);
+                lo.base..hi.base + u64::from(hi.len) * INSTR_BYTES
+            }
+            _ => 0..0,
+        };
+        Program {
+            image: Arc::new(Image {
+                ops: self.ops.into_boxed_slice(),
+                funcs,
+                by_base: by_base.into_boxed_slice(),
+                callees: self.callees.into_boxed_slice(),
+                set_bounds: self.set_bounds.into_boxed_slice(),
+                text,
+            }),
+            shift: 0,
+        }
+    }
+}
+
+/// A complete synthetic program: a shared packed image, placed `shift`
+/// bytes above the addresses it was built at.
 #[derive(Clone, Debug)]
 pub struct Program {
-    functions: Vec<Function>,
-    /// Function ids sorted by base address, for decode.
-    by_base: Vec<u32>,
-    text_bytes: u64,
+    image: Arc<Image>,
+    shift: u64,
 }
 
 impl Program {
@@ -139,101 +412,121 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if any function is empty, lacks a terminating semantics
-    /// (callers are expected to end bodies with `Return`), has an
-    /// out-of-range branch target, or overlaps another function.
+    /// Panics if any function is empty, has an out-of-range branch target
+    /// or callee, overlaps another function, or holds a value that does
+    /// not fit its packed width (a branch target, callee id or
+    /// callee-set index of 2^28 or more).
     pub fn new(functions: Vec<Function>) -> Program {
-        for (i, f) in functions.iter().enumerate() {
-            assert!(!f.ops.is_empty(), "function {i} is empty");
-            for (j, op) in f.ops.iter().enumerate() {
-                match op {
-                    StaticOp::CondBranch { target, .. } | StaticOp::Jump { target } => {
-                        assert!(
-                            (*target as usize) < f.ops.len(),
-                            "function {i} op {j}: target {target} out of range"
-                        );
-                    }
-                    StaticOp::Call(CalleeSpec::Direct(c)) => {
-                        assert!(
-                            c.index() < functions.len(),
-                            "function {i} op {j}: callee {c:?} out of range"
-                        );
-                    }
-                    StaticOp::Call(CalleeSpec::Indirect(cs)) => {
-                        assert!(!cs.is_empty(), "function {i} op {j}: empty indirect set");
-                        for c in cs {
-                            assert!(c.index() < functions.len());
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        let mut image = ImageBuilder::new();
+        for f in &functions {
+            image.push(f.base, &f.ops);
         }
-        let mut by_base: Vec<u32> = (0..functions.len() as u32).collect();
-        by_base.sort_by_key(|&i| functions[i as usize].base);
-        for w in by_base.windows(2) {
-            let a = &functions[w[0] as usize];
-            let b = &functions[w[1] as usize];
-            assert!(
-                a.base.0 + a.size_bytes() <= b.base.0,
-                "functions overlap at {:#x}",
-                b.base.0
-            );
-        }
-        let text_bytes = functions.iter().map(|f| f.size_bytes()).sum();
+        image.finish()
+    }
+
+    /// This program's image placed `shift` bytes above the addresses it
+    /// was built at, sharing the image.
+    pub(crate) fn with_shift(&self, shift: u64) -> Program {
         Program {
-            functions,
-            by_base,
-            text_bytes,
+            image: Arc::clone(&self.image),
+            shift,
         }
     }
 
-    /// The function table.
-    pub fn functions(&self) -> &[Function] {
-        &self.functions
+    /// Whether both programs read one shared image (whatever their shifts).
+    pub fn shares_image(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.image, &other.image)
     }
 
-    /// Accesses one function.
-    pub fn function(&self, id: FuncId) -> &Function {
-        &self.functions[id.index()]
+    /// Number of functions.
+    pub fn num_functions(&self) -> usize {
+        self.image.funcs.len()
+    }
+
+    /// Instruction count of function `f`.
+    #[inline]
+    pub fn function_len(&self, f: FuncId) -> u32 {
+        self.image.funcs[f.index()].len
     }
 
     /// Total instruction bytes across all functions (the static footprint).
     pub fn text_bytes(&self) -> u64 {
-        self.text_bytes
+        self.image.ops.len() as u64 * INSTR_BYTES
+    }
+
+    /// Addresses from the lowest function base to the highest function
+    /// end (padding between functions included).
+    pub fn text_range(&self) -> Range<Addr> {
+        let text = &self.image.text;
+        Addr(text.start + self.shift)..Addr(text.end + self.shift)
     }
 
     /// Address of instruction `idx` of function `f`.
     #[inline]
     pub fn addr_of(&self, f: FuncId, idx: u32) -> Addr {
-        self.functions[f.index()].addr_of(idx)
+        Addr(self.image.funcs[f.index()].base + self.shift).add_instrs(u64::from(idx))
+    }
+
+    /// The op at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at.idx` lies past the end of its function.
+    #[inline]
+    pub fn op(&self, at: InstrRef) -> Op<'_> {
+        let image = &*self.image;
+        let f = image.funcs[at.func.index()];
+        assert!(
+            at.idx < f.len,
+            "instruction {} past the end of {:?}",
+            at.idx,
+            at.func
+        );
+        let op = image.ops[(f.first + at.idx) as usize];
+        match op.0 & KIND_MASK {
+            KIND_PLAIN => Op::Plain {
+                mem: match op.arg() {
+                    0 => PlainMem::None,
+                    1 => PlainMem::Load,
+                    _ => PlainMem::Store,
+                },
+            },
+            KIND_COND_BRANCH => Op::CondBranch {
+                target: op.arg(),
+                taken_prob: f32::from_bits((op.0 >> PROB_SHIFT) as u32),
+                inner_loop: op.0 & INNER_LOOP != 0,
+            },
+            KIND_JUMP => Op::Jump { target: op.arg() },
+            KIND_CALL => Op::Call(Callee::Direct(FuncId(op.arg()))),
+            KIND_CALL_INDIRECT => {
+                let set = op.arg() as usize;
+                let bounds = &image.set_bounds[set..set + 2];
+                Op::Call(Callee::Indirect(
+                    &image.callees[bounds[0] as usize..bounds[1] as usize],
+                ))
+            }
+            _ => Op::Return,
+        }
     }
 
     /// Decodes a PC to its function and instruction index, or `None` if the
     /// PC does not map to an instruction (padding, unmapped).
     pub fn decode(&self, pc: Addr) -> Option<InstrRef> {
-        let pos = self
+        let pc = pc.0.checked_sub(self.shift)?;
+        let image = &*self.image;
+        let pos = image
             .by_base
-            .partition_point(|&i| self.functions[i as usize].base <= pc);
-        if pos == 0 {
-            return None;
-        }
-        let fid = self.by_base[pos - 1];
-        let f = &self.functions[fid as usize];
-        let off = pc.0.checked_sub(f.base.0)?;
-        if off % INSTR_BYTES != 0 || off >= f.size_bytes() {
+            .partition_point(|&i| image.funcs[i as usize].base <= pc);
+        let fid = image.by_base[pos.checked_sub(1)?];
+        let f = image.funcs[fid as usize];
+        let off = pc - f.base;
+        if off % INSTR_BYTES != 0 || off >= u64::from(f.len) * INSTR_BYTES {
             return None;
         }
         Some(InstrRef {
             func: FuncId(fid),
             idx: (off / INSTR_BYTES) as u32,
         })
-    }
-
-    /// The op at a PC, if mapped.
-    pub fn op_at(&self, pc: Addr) -> Option<&StaticOp> {
-        let r = self.decode(pc)?;
-        Some(&self.functions[r.func.index()].ops[r.idx as usize])
     }
 }
 
@@ -409,14 +702,71 @@ mod tests {
     #[test]
     fn decode_roundtrip() {
         let p = tiny_program();
-        for (fi, f) in p.functions().iter().enumerate() {
-            for idx in 0..f.ops.len() as u32 {
-                let pc = p.addr_of(FuncId(fi as u32), idx);
+        for fi in 0..p.num_functions() as u32 {
+            for idx in 0..p.function_len(FuncId(fi)) {
+                let pc = p.addr_of(FuncId(fi), idx);
                 let r = p.decode(pc).expect("mapped");
-                assert_eq!(r.func, FuncId(fi as u32));
+                assert_eq!(r.func, FuncId(fi));
                 assert_eq!(r.idx, idx);
             }
         }
+    }
+
+    #[test]
+    fn ops_read_back_as_built() {
+        let p = tiny_program();
+        let at = |func, idx| InstrRef {
+            func: FuncId(func),
+            idx,
+        };
+        assert_eq!(
+            p.op(at(0, 0)),
+            Op::Plain {
+                mem: PlainMem::Load
+            }
+        );
+        assert_eq!(p.op(at(0, 4)), Op::Call(Callee::Direct(FuncId(1))));
+        assert_eq!(p.op(at(1, 3)), Op::Return);
+        let mut b = FunctionBuilder::new();
+        let l = b.begin_loop();
+        b.call_indirect(vec![FuncId(0), FuncId(0)]);
+        b.end_loop(l, 3.0, true);
+        b.jump_over(1);
+        let q = Program::new(vec![Function {
+            base: Addr(0x1000),
+            ops: b.finish(),
+        }]);
+        assert_eq!(
+            q.op(at(0, 0)),
+            Op::Call(Callee::Indirect(&[FuncId(0), FuncId(0)]))
+        );
+        assert_eq!(
+            q.op(at(0, 1)),
+            Op::CondBranch {
+                target: 0,
+                taken_prob: (1.0 - 1.0 / 3.0f64) as f32,
+                inner_loop: true
+            }
+        );
+        assert_eq!(q.op(at(0, 2)), Op::Jump { target: 4 });
+    }
+
+    #[test]
+    fn shifted_program_shares_its_image() {
+        let p = tiny_program();
+        let q = p.with_shift(0x10_0000);
+        assert!(q.shares_image(&p));
+        assert!(!q.shares_image(&tiny_program()));
+        assert_eq!(q.addr_of(FuncId(1), 2), Addr(0x10_2008));
+        assert_eq!(
+            q.decode(Addr(0x10_2008)),
+            Some(InstrRef {
+                func: FuncId(1),
+                idx: 2
+            })
+        );
+        assert_eq!(q.decode(Addr(0x2008)), None, "below the shift");
+        assert_eq!(q.text_range(), Addr(0x10_1000)..Addr(0x10_2010));
     }
 
     #[test]
@@ -478,6 +828,14 @@ mod tests {
             ops: vec![StaticOp::Jump { target: 99 }, StaticOp::Return],
         };
         Program::new(vec![f]);
+    }
+
+    #[test]
+    #[should_panic(expected = "callee set 268435456 does not fit")]
+    fn oversized_callee_set_index_rejected() {
+        // Reaching 2^28 sets through the appender would take 2^28 call
+        // sites; the packing is what must refuse the index.
+        PackedOp::call_indirect(1 << ARG_BITS);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::exec::{DataProfile, ExecConfig, TransactionMix, Walker};
-use crate::program::{FuncId, Function, FunctionBuilder, PlainMem, Program};
+use crate::program::{FuncId, FunctionBuilder, ImageBuilder, PlainMem, Program, StaticOp};
 use crate::types::Addr;
 
 /// Broad workload class (paper Table I groups).
@@ -398,12 +398,18 @@ pub struct Workload {
     pub seed: u64,
 }
 
-/// Byte stride between the text bases of distinct mix slots. Generous
-/// enough for the largest Table I footprint (~2.2 MB) with room to grow,
-/// and small enough that 16 slots stay far below the simulator's IML
-/// mirror region (block `0x0800_0000`) and data region (block
-/// `0x4000_0000`).
+/// Byte stride between the text bases of distinct mix slots. It fits the
+/// widest Table I text (OLTP Oracle spans ~1.3 MB at seed 42) twelve
+/// times over, and is small enough that 16 slots stay far below the
+/// simulator's IML mirror region (block `0x0800_0000`) and data region
+/// (block `0x4000_0000`). Placing a program in a slot asserts that its
+/// text fits one stride, so a tenant never aliases the next slot's
+/// addresses in the shared L2 or the prefetcher metadata.
 const SLOT_STRIDE_BYTES: u64 = 0x0100_0000;
+
+/// Text base of mix slot 0. Lower addresses stay unmapped, apart from the
+/// OS idle loop.
+const TEXT_BASE: u64 = 0x10_0000;
 
 impl Workload {
     /// Builds the synthetic program for `spec` with a given seed.
@@ -412,14 +418,47 @@ impl Workload {
     }
 
     /// Builds the program in mix slot `slot`: slot 0 is the legacy address
-    /// space (`build` delegates here), higher slots occupy disjoint text
-    /// ranges so heterogeneous per-core programs never alias in the shared
-    /// L2 or the prefetcher metadata.
+    /// space (`build` delegates here), and slot `k` is the slot-0 image
+    /// shifted by `k` strides, so heterogeneous per-core programs never
+    /// alias in the shared L2 or the prefetcher metadata. The image built
+    /// here is the returned workload's alone; [`CellPrograms`] shares one
+    /// image across every slot and row that walks the same program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program's text does not fit one slot (16 MB).
     pub fn build_at(spec: &WorkloadSpec, seed: u64, slot: usize) -> Workload {
-        let base = 0x10_0000 + slot as u64 * SLOT_STRIDE_BYTES;
-        let mut w = Builder::new(spec.clone(), seed, base).build();
-        w.seed = seed;
-        w
+        Builder::new(spec.clone(), seed).build().placed(spec, slot)
+    }
+
+    /// This workload's image placed in mix slot `slot` for `spec`, whose
+    /// shape must equal this workload's: the specs may differ only in the
+    /// two knobs the builder reads into [`ExecConfig`] alone
+    /// (`duty_cycle`, `ctx_switch_period`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program's text does not fit one slot.
+    fn placed(&self, spec: &WorkloadSpec, slot: usize) -> Workload {
+        debug_assert_eq!(shape_fingerprint(spec), shape_fingerprint(&self.spec));
+        let text = self.program.text_range();
+        let span = text.end.0 - text.start.0;
+        assert!(
+            span <= SLOT_STRIDE_BYTES,
+            "{}: {span} bytes of text overflow the {SLOT_STRIDE_BYTES}-byte mix slot",
+            spec.name
+        );
+        Workload {
+            program: self.program.with_shift(slot as u64 * SLOT_STRIDE_BYTES),
+            mix: self.mix.clone(),
+            exec: ExecConfig {
+                duty_cycle: spec.duty_cycle,
+                ctx_switch_period: spec.ctx_switch_period,
+                ..self.exec.clone()
+            },
+            spec: spec.clone(),
+            seed: self.seed,
+        }
     }
 
     /// Creates the committed-instruction-stream iterator for one core.
@@ -499,10 +538,43 @@ fn spec_fingerprint(spec: &WorkloadSpec) -> u128 {
     h.finish()
 }
 
+/// Fingerprint of the program `spec` builds: the spec with `duty_cycle`
+/// and `ctx_switch_period`, which the builder reads into [`ExecConfig`]
+/// alone, at their defaults. Specs of one shape build one image at a
+/// given seed.
+fn shape_fingerprint(spec: &WorkloadSpec) -> u128 {
+    spec_fingerprint(&WorkloadSpec {
+        duty_cycle: 1.0,
+        ctx_switch_period: 0,
+        ..spec.clone()
+    })
+}
+
+/// One spec per distinct program shape among the positions of `cells`,
+/// first occurrence first. Build each at slot 0 with one seed, and
+/// [`CellPrograms::assemble`] places every one of `cells` from those
+/// images.
+pub fn distinct_shapes<'a>(cells: impl IntoIterator<Item = &'a CellWorkload>) -> Vec<WorkloadSpec> {
+    let mut shapes: Vec<u128> = Vec::new();
+    let mut specs = Vec::new();
+    for spec in cells.into_iter().flat_map(CellWorkload::positions) {
+        let shape = shape_fingerprint(spec);
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+            specs.push(spec.clone());
+        }
+    }
+    specs
+}
+
 /// The built programs behind one [`CellWorkload`]: one [`Workload`] per
 /// *distinct* spec (deduplicated by fingerprint, first occurrence first),
-/// each in its own address-space slot. A degenerate mix deduplicates to a
-/// single slot-0 build, which is byte-identical to the homogeneous build.
+/// each in its own address-space slot. Slots are placed from slot-0
+/// images, one per program shape: slots whose specs differ only in
+/// `duty_cycle` or `ctx_switch_period` walk one shared image, each
+/// shifted to its own slot, and so do all cells assembled from one set of
+/// images. A degenerate mix deduplicates to a single slot-0 placement,
+/// which is byte-identical to the homogeneous build.
 #[derive(Clone, Debug)]
 pub struct CellPrograms {
     cell: CellWorkload,
@@ -512,8 +584,24 @@ pub struct CellPrograms {
 }
 
 impl CellPrograms {
-    /// Builds every distinct program in the cell with the given seed.
+    /// Builds every distinct program in the cell with the given seed, one
+    /// image per distinct shape.
     pub fn build(cell: &CellWorkload, seed: u64) -> CellPrograms {
+        let images: Vec<Workload> = distinct_shapes([cell])
+            .iter()
+            .map(|spec| Workload::build(spec, seed))
+            .collect();
+        CellPrograms::assemble(cell, seed, &images)
+    }
+
+    /// Places every distinct program of `cell` from `images`, slot-0
+    /// builds such as those of [`distinct_shapes`]: each slot shares the
+    /// image of its spec's shape built with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` holds no such image for some position of `cell`.
+    pub fn assemble(cell: &CellWorkload, seed: u64, images: &[Workload]) -> CellPrograms {
         let cell = cell.canonical();
         let positions = cell.positions();
         let mut fingerprints: Vec<u128> = Vec::new();
@@ -524,8 +612,13 @@ impl CellPrograms {
             let slot = match fingerprints.iter().position(|&f| f == fp) {
                 Some(i) => i,
                 None => {
+                    let shape = shape_fingerprint(spec);
+                    let image = images
+                        .iter()
+                        .find(|w| w.seed == seed && shape_fingerprint(&w.spec) == shape)
+                        .unwrap_or_else(|| panic!("no image of {} at seed {seed}", spec.name));
                     fingerprints.push(fp);
-                    slots.push(Workload::build_at(spec, seed, slots.len()));
+                    slots.push(image.placed(spec, slots.len()));
                     slots.len() - 1
                 }
             };
@@ -602,40 +695,38 @@ fn shuffle(v: &mut [FuncId], rng: &mut SmallRng) {
 /// Internal generator state.
 struct Builder {
     spec: WorkloadSpec,
+    seed: u64,
     rng: SmallRng,
-    functions: Vec<Function>,
+    /// The program image, appended to as each function is generated.
+    image: ImageBuilder,
     cursor: u64,
 }
 
 impl Builder {
-    fn new(spec: WorkloadSpec, seed: u64, base: u64) -> Builder {
+    fn new(spec: WorkloadSpec, seed: u64) -> Builder {
         let rng = SmallRng::seed_from_u64(seed ^ spec.seed_salt);
         Builder {
             spec,
+            seed,
             rng,
-            functions: Vec::new(),
-            cursor: base, // low addresses stay unmapped (idle loop aside)
+            image: ImageBuilder::new(),
+            cursor: TEXT_BASE,
         }
     }
 
-    /// Reserves an address range for `ops` and registers the function.
-    fn add_function(&mut self, ops: Vec<crate::program::StaticOp>) -> FuncId {
-        let id = FuncId(self.functions.len() as u32);
+    /// Reserves an address range for `ops` and appends the function to
+    /// the image.
+    fn add_function(&mut self, ops: Vec<StaticOp>) -> FuncId {
         let base = Addr(self.cursor);
         self.cursor += ops.len() as u64 * 4;
         // Random padding (multiple of 4 B) so block alignments vary.
         self.cursor += 4 * self.rng.gen_range(0..16u64);
-        self.functions.push(Function { base, ops });
-        id
+        self.image.push(base, &ops)
     }
 
     /// Emits a function body made of straight runs, small hammocks, and
     /// possibly an innermost loop; optional calls to pool functions.
-    fn gen_body(
-        &mut self,
-        target_instrs: u32,
-        callees: &[FuncId],
-    ) -> Vec<crate::program::StaticOp> {
+    fn gen_body(&mut self, target_instrs: u32, callees: &[FuncId]) -> Vec<StaticOp> {
         let mut b = FunctionBuilder::new();
         let mut emitted = 0u32;
         let mut callee_iter = callees.iter();
@@ -789,6 +880,7 @@ impl Builder {
         self.add_function(ops)
     }
 
+    /// Generates the whole program at slot 0.
     fn build(mut self) -> Workload {
         let shared = self.gen_pool(self.spec.shared_pool);
 
@@ -803,7 +895,7 @@ impl Builder {
         let cold_entries = self.gen_pool(self.spec.cold_pool);
         let trap_handlers = self.gen_pool(self.spec.n_trap_handlers);
 
-        let program = Program::new(std::mem::take(&mut self.functions));
+        let program = self.image.finish();
         let mix = TransactionMix {
             entries,
             cold_entries,
@@ -828,7 +920,7 @@ impl Builder {
             mix,
             exec,
             spec: self.spec,
-            seed: 0, // patched by `Workload::build`
+            seed: self.seed,
         }
     }
 }

@@ -50,7 +50,7 @@ fn main() {
         "'{}': {} KB text, {} functions",
         spec.name,
         workload.program.text_bytes() / 1024,
-        workload.program.functions().len()
+        workload.program.num_functions()
     );
 
     // Record a slice of the committed instruction stream and round-trip it

@@ -30,7 +30,7 @@ fn main() {
     println!(
         "program text: {} KB across {} functions",
         workload.program.text_bytes() / 1024,
-        workload.program.functions().len()
+        workload.program.num_functions()
     );
 
     let n = 500_000;
