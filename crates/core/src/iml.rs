@@ -48,6 +48,10 @@ pub struct ImlEntry {
 /// always lives at slot `p & mask` — appends are one slot write,
 /// [`Iml::evict_oldest`] is one pointer bump, and [`Iml::read_group`] is
 /// at most two contiguous copies (the group may straddle the wrap).
+///
+/// The slab starts small and doubles when the window fills it. A bounded
+/// log stops doubling at `capacity.next_power_of_two()` slots, so it
+/// touches memory only for entries it has held.
 #[derive(Clone, Debug)]
 pub struct Iml {
     /// Power-of-two slab; position `p` lives at `buf[p & mask]`.
@@ -67,6 +71,9 @@ const VACANT: ImlEntry = ImlEntry {
     svb_hit: false,
 };
 
+/// Slots of a new log's slab (fewer when the capacity is smaller).
+const INITIAL_SLOTS: usize = 16;
+
 impl Iml {
     /// Creates a log retaining `capacity` entries (`None` = unbounded).
     pub fn new(capacity: Option<usize>) -> Iml {
@@ -76,9 +83,7 @@ impl Iml {
             // is meaningless.
             assert!(c >= 1, "capacity too small: {c}");
         }
-        // Bounded logs size their slab once; unbounded ones start small
-        // and double on demand.
-        let slots = capacity.map_or(16, usize::next_power_of_two);
+        let slots = capacity.map_or(INITIAL_SLOTS, |c| c.next_power_of_two().min(INITIAL_SLOTS));
         Iml {
             buf: vec![VACANT; slots],
             base: 0,
@@ -95,7 +100,9 @@ impl Iml {
     /// Appends one miss; returns its absolute position.
     pub fn append(&mut self, block: BlockAddr, svb_hit: bool) -> u64 {
         let pos = self.appended;
-        if self.capacity.is_none() && self.len() == self.buf.len() {
+        // A slab below its limit is smaller than the capacity, so a full
+        // window there evicts nothing on this append and must grow.
+        if self.len() == self.buf.len() && self.buf.len() < self.max_slots() {
             self.grow();
         }
         let m = self.mask();
@@ -108,6 +115,11 @@ impl Iml {
             self.base = self.base.max(self.appended.saturating_sub(c as u64));
         }
         pos
+    }
+
+    /// The slab size a bounded log stops doubling at.
+    fn max_slots(&self) -> usize {
+        self.capacity.map_or(usize::MAX, usize::next_power_of_two)
     }
 
     fn grow(&mut self) {
@@ -313,6 +325,30 @@ mod tests {
         assert_eq!(iml.append(BlockAddr(99), false), 5);
         assert_eq!(iml.get(5).unwrap().block, BlockAddr(99));
         assert_eq!(iml.len(), 1);
+    }
+
+    #[test]
+    fn bounded_log_grows_only_as_far_as_its_contents_need() {
+        let mut iml = Iml::new(Some(1 << 20));
+        for i in 0..100u64 {
+            iml.append(BlockAddr(i), false);
+        }
+        assert!(iml.buf.len() <= 128, "slab of {} slots", iml.buf.len());
+        assert_eq!(iml.len(), 100);
+        // Once past its capacity, a grown log evicts exactly like a full
+        // ring: one oldest entry per append, every later entry readable.
+        for cap in [4, 100, 128] {
+            let mut iml = Iml::new(Some(cap));
+            for i in 0..(cap as u64 * 3) {
+                assert_eq!(iml.append(BlockAddr(i), i % 3 == 0), i);
+                let oldest = (i + 1).saturating_sub(cap as u64);
+                assert_eq!(iml.len() as u64, i + 1 - oldest);
+                assert!(oldest == 0 || !iml.is_valid(oldest - 1));
+                assert_eq!(iml.get(oldest).unwrap().block, BlockAddr(oldest));
+                assert_eq!(iml.get(i).unwrap().block, BlockAddr(i));
+            }
+            assert_eq!(iml.buf.len(), cap.next_power_of_two());
+        }
     }
 
     #[test]

@@ -78,23 +78,35 @@ impl RefIml {
         self.base += 1;
         Some(e)
     }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.base = self.appended;
+    }
 }
 
 proptest! {
     #[test]
-    fn iml_ring_matches_vecdeque_model(seed in 0u64..5_000, cap_choice in 0u8..4) {
-        // Non-power-of-two and exactly-power-of-two bounds, plus
-        // unbounded (which exercises ring growth).
+    fn iml_ring_matches_vecdeque_model(seed in 0u64..5_000, cap_choice in 0u8..6) {
+        // Non-power-of-two and exactly-power-of-two bounds, unbounded,
+        // and a bound the slab reaches only after several doublings,
+        // once plain and once flushed mid-stream.
         let capacity = match cap_choice {
             0 => None,
             1 => Some(12),
             2 => Some(16),
-            _ => Some(20),
+            3 => Some(20),
+            _ => Some(100),
         };
+        let flush_at = (cap_choice == 5).then_some(200);
         let mut rng = Rng(seed);
         let mut ring = Iml::new(capacity);
         let mut model = RefIml::new(capacity);
-        for _ in 0..400 {
+        for step in 0..400 {
+            if Some(step) == flush_at {
+                ring.clear();
+                model.clear();
+            }
             match rng.next() % 8 {
                 0..=3 => {
                     let block = BlockAddr(rng.next() % 1000);

@@ -24,9 +24,9 @@ use tifs_experiments::engine::Lab;
 use tifs_experiments::harness::ExpConfig;
 use tifs_experiments::sink::{self, Cell, StructuredReport};
 use tifs_sequitur::categorize::{categorize, CategoryCounts};
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{evaluate_with_index, Heuristic, HeuristicConfig};
 use tifs_sequitur::streams::stream_occurrences;
-use tifs_sequitur::LengthCdf;
+use tifs_sequitur::{LceIndex, LengthCdf};
 use tifs_sim::{miss_trace_with_model, SystemConfig};
 use tifs_trace::filter::collapse_sequential;
 
@@ -67,9 +67,11 @@ fn main() -> std::process::ExitCode {
         let collapsed: Vec<u64> = collapse_sequential(&miss).iter().map(|b| b.0).collect();
         let cdf = LengthCdf::from_occurrences(&stream_occurrences(&collapsed));
         let med = cdf.quantile(0.5).unwrap_or(0);
-        // Fig 6: Recent heuristic coverage
-        let recent = evaluate_heuristic(&trace, &HeuristicConfig::new(Heuristic::Recent));
-        let opp = evaluate_heuristic(&trace, &HeuristicConfig::new(Heuristic::Opportunity));
+        // Fig 6: Recent and Opportunity coverage over one suffix index
+        let lce = LceIndex::new(&trace);
+        let replay = |h| evaluate_with_index(&trace, &lce, &HeuristicConfig::new(h));
+        let recent = replay(Heuristic::Recent);
+        let opp = replay(Heuristic::Opportunity);
         let (_acc, misses) = model.totals();
         CalRow {
             name: ctx.spec().name.to_string(),

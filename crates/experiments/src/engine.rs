@@ -12,8 +12,9 @@
 //! * fans independent cells out across threads ([`par::map`], a
 //!   rayon-style ordered parallel map on `std::thread::scope` — the
 //!   workspace builds offline and cannot depend on rayon itself);
-//! * caches per-workload L1-I miss traces so the SEQUITUR analyses share
-//!   one functional-model pass ([`Lab::miss_traces`]), and — with a
+//! * caches per-workload L1-I miss traces so the trace analyses share
+//!   one functional-model pass ([`Lab::miss_traces`], which also keeps
+//!   core 0's Figure 10 lookahead marks), and — with a
 //!   persistent [`TraceStore`] attached ([`Lab::with_store`]) — writes
 //!   them through to disk so later processes warm-start without
 //!   re-running the functional model at all;
@@ -84,7 +85,7 @@ use tifs_trace::store::{
 use tifs_trace::workload::{distinct_shapes, CellPrograms, CellWorkload, Workload, WorkloadSpec};
 use tifs_trace::{BlockAddr, FetchRecord};
 
-use crate::harness::{ExpConfig, SystemKind};
+use crate::harness::{walk_core, ExpConfig, SystemKind};
 
 /// Environment variable enabling intra-cell core sharding for grids that
 /// did not choose explicitly ([`ExperimentGrid::sharded`] wins). Truthy
@@ -1169,9 +1170,20 @@ pub struct Lab {
     exp: ExpConfig,
     specs: Vec<WorkloadSpec>,
     workloads: Vec<Workload>,
-    traces: Vec<OnceLock<Vec<Vec<BlockAddr>>>>,
+    traces: Vec<OnceLock<AnalysisTraces>>,
     store: Option<TraceStore>,
     report_store: Option<ReportStore>,
+}
+
+/// One workload's cached functional pass.
+struct AnalysisTraces {
+    /// Per-core miss traces.
+    misses: Vec<Vec<BlockAddr>>,
+    /// Core 0's lookahead marks ([`CoreWalk::marks`]), kept only when
+    /// this lab walked the cores itself: a store entry holds traces alone.
+    ///
+    /// [`CoreWalk::marks`]: crate::harness::CoreWalk::marks
+    lookahead_marks: Option<Vec<u64>>,
 }
 
 impl Lab {
@@ -1274,34 +1286,56 @@ impl Lab {
     /// traces persist across processes: a warm run streams them back from
     /// disk instead of re-running the functional model.
     pub fn miss_traces(&self, i: usize) -> &[Vec<BlockAddr>] {
-        self.traces[i].get_or_init(|| {
-            let key = TraceKey::for_section(
-                &functional_section("miss_trace"),
-                &self.specs[i],
-                self.exp.seed,
-                self.exp.instructions,
-                ANALYSIS_CORES,
-            );
-            if let Some(store) = &self.store {
-                if let Some(traces) = store.load_blocks(&key) {
-                    return traces;
-                }
+        &self.traces[i].get_or_init(|| self.walk_cores(i)).misses
+    }
+
+    /// Core 0's Figure 10 lookahead marks of workload `i`, if this lab
+    /// has walked its cores: present once [`miss_traces`](Self::miss_traces)
+    /// ran the functional model, absent before that and when the traces
+    /// came from the store. Never starts a pass.
+    pub fn lookahead_marks(&self, i: usize) -> Option<&[u64]> {
+        self.traces[i].get()?.lookahead_marks.as_deref()
+    }
+
+    fn walk_cores(&self, i: usize) -> AnalysisTraces {
+        let key = TraceKey::for_section(
+            &functional_section("miss_trace"),
+            &self.specs[i],
+            self.exp.seed,
+            self.exp.instructions,
+            ANALYSIS_CORES,
+        );
+        if let Some(misses) = self
+            .store
+            .as_ref()
+            .and_then(|store| store.load_blocks(&key))
+        {
+            return AnalysisTraces {
+                misses,
+                lookahead_marks: None,
+            };
+        }
+        let mut misses = Vec::with_capacity(ANALYSIS_CORES);
+        let mut lookahead_marks = None;
+        for core in 0..ANALYSIS_CORES {
+            let walk = walk_core(&self.workloads[i], core, self.exp.instructions);
+            misses.push(walk.misses);
+            if core == 0 {
+                lookahead_marks = Some(walk.marks);
             }
-            let traces = crate::harness::collect_miss_traces(
-                &self.workloads[i],
-                self.exp.instructions,
-                ANALYSIS_CORES,
-            );
-            if let Some(store) = &self.store {
-                if let Err(e) = store.save_blocks(&key, &traces) {
-                    eprintln!(
-                        "[trace-store] failed to persist {} miss traces: {e}",
-                        self.specs[i].name
-                    );
-                }
+        }
+        if let Some(store) = &self.store {
+            if let Err(e) = store.save_blocks(&key, &misses) {
+                eprintln!(
+                    "[trace-store] failed to persist {} miss traces: {e}",
+                    self.specs[i].name
+                );
             }
-            traces
-        })
+        }
+        AnalysisTraces {
+            misses,
+            lookahead_marks,
+        }
     }
 
     /// Miss traces of workload `i` as `u64` symbols for SEQUITUR.
@@ -1365,6 +1399,12 @@ impl WorkloadCtx<'_> {
     /// Cached miss traces as SEQUITUR symbols.
     pub fn symbol_traces(&self) -> Vec<Vec<u64>> {
         self.lab.symbol_traces(self.index)
+    }
+
+    /// Core 0's lookahead marks, if the lab walked this workload's cores
+    /// ([`Lab::lookahead_marks`]).
+    pub fn lookahead_marks(&self) -> Option<&[u64]> {
+        self.lab.lookahead_marks(self.index)
     }
 
     /// The lab's persistent trace store, if one is attached — analyses
@@ -1755,6 +1795,16 @@ mod tests {
         let b = lab.miss_traces(0).as_ptr();
         assert_eq!(a, b, "second call must hit the cache");
         assert_eq!(lab.miss_traces(0).len(), ANALYSIS_CORES);
+    }
+
+    #[test]
+    fn lab_keeps_core_0_marks_from_its_own_pass() {
+        let lab = Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp());
+        assert_eq!(lab.lookahead_marks(0), None, "asking must not start a pass");
+        lab.miss_traces(0);
+        let walk = walk_core(lab.workload(0), 0, tiny_exp().instructions);
+        assert_eq!(lab.miss_traces(0)[0], walk.misses);
+        assert_eq!(lab.lookahead_marks(0), Some(&walk.marks[..]));
     }
 
     #[test]

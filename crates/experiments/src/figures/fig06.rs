@@ -1,7 +1,9 @@
 //! Figure 6 — stream lookup heuristics: fraction of misses eliminated by
 //! First / Digram / Recent / Longest, against the Opportunity bound.
 
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{
+    evaluate_all, Heuristic, HeuristicOutcome, DEFAULT_MAX_CANDIDATES,
+};
 
 use crate::engine::Lab;
 use crate::harness::ExpConfig;
@@ -23,30 +25,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<HeuristicRow> {
 }
 
 /// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses).
+/// other trace analyses). Each core's trace gets one suffix index, which
+/// every heuristic's replay shares ([`evaluate_all`]).
 pub fn run_on(lab: &Lab) -> Vec<HeuristicRow> {
     lab.analyze(|ctx| {
-        let traces = ctx.symbol_traces();
-        let coverage = Heuristic::ALL
-            .iter()
-            .map(|&h| {
-                let mut eliminated = 0usize;
-                let mut total = 0usize;
-                for t in &traces {
-                    let out = evaluate_heuristic(t, &HeuristicConfig::new(h));
-                    eliminated += out.eliminated;
-                    total += out.total_misses;
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    eliminated as f64 / total as f64
-                }
-            })
-            .collect();
+        let mut sums = [HeuristicOutcome::default(); Heuristic::ALL.len()];
+        for t in &ctx.symbol_traces() {
+            for (sum, (_, out)) in sums.iter_mut().zip(evaluate_all(t, DEFAULT_MAX_CANDIDATES)) {
+                sum.eliminated += out.eliminated;
+                sum.total_misses += out.total_misses;
+            }
+        }
         HeuristicRow {
             workload: ctx.name(),
-            coverage,
+            coverage: sums.iter().map(HeuristicOutcome::coverage).collect(),
         }
     })
 }

@@ -6,13 +6,26 @@
 //! For each miss, we count conditional branches outside innermost loops
 //! between that miss and the fourth subsequent miss. The paper finds that
 //! for roughly a quarter of misses, more than 16 such branches are needed.
+//!
+//! The count comes from core 0's *lookahead marks*: at each miss, the
+//! number of such branches executed before it ([`CoreWalk::marks`]).
+//! [`run_on`] takes a workload's marks from the first of three sources
+//! that has them:
+//!
+//! 1. its own trace-store entry, when the lab has a store;
+//! 2. the lab's functional pass, when this process ran it
+//!    ([`Lab::lookahead_marks`]): the walk that produced the miss traces
+//!    recorded the marks too;
+//! 3. otherwise a walk of core 0 alone ([`walk_core`]), so the figure run
+//!    by itself walks one core, not all four.
+//!
+//! Marks from sources 2 and 3 are written through to the store, so
+//! stores see the same entries whichever source ran.
+//!
+//! [`CoreWalk::marks`]: crate::harness::CoreWalk::marks
 
-use tifs_sim::config::SystemConfig;
-use tifs_sim::miss_trace::FunctionalFetchModel;
-use tifs_trace::BranchKind;
-
-use crate::engine::Lab;
-use crate::harness::ExpConfig;
+use crate::engine::{functional_section, Lab};
+use crate::harness::{walk_core, ExpConfig};
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -49,8 +62,8 @@ impl LookaheadDist {
 /// Misses of lookahead to aggregate over (the paper uses four).
 pub const LOOKAHEAD_MISSES: usize = 4;
 
-/// Store section name for the cached per-miss cumulative branch counts
-/// (core 0's derived pass; bump on any change to the derivation).
+/// Store section name for the cached lookahead marks (core 0's; bump on
+/// any change to the derivation).
 const STORE_SECTION: &str = "fig10_lookahead_v1";
 
 /// Runs the Figure 10 analysis (core 0's stream per workload).
@@ -59,37 +72,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<LookaheadDist> {
 }
 
 /// As [`run`], on an existing lab (workloads built once, shared). When
-/// the lab has a persistent trace store, the derived per-miss branch
-/// marks are cached under their own section key, so warm runs skip this
-/// figure's functional-model pass entirely.
+/// the lab has a persistent trace store, the marks are cached under their
+/// own section key, so warm runs skip the functional model entirely.
 pub fn run_on(lab: &Lab) -> Vec<LookaheadDist> {
-    let sys = SystemConfig::table2();
     lab.analyze(|ctx| {
-        let key = ctx.section_key(&crate::engine::functional_section(STORE_SECTION), 1);
+        let key = ctx.section_key(&functional_section(STORE_SECTION), 1);
         let miss_marks: Vec<u64> = ctx
             .store()
             .and_then(|store| store.load(&key))
             .and_then(|mut sections| (sections.len() == 1).then(|| sections.remove(0)))
             .unwrap_or_else(|| {
-                let mut model = FunctionalFetchModel::new(&sys);
-                // Cumulative non-inner-loop conditional-branch count at
-                // each miss position.
-                let mut branch_cum: u64 = 0;
-                let mut marks: Vec<u64> = Vec::new();
-                for rec in ctx
-                    .workload()
-                    .walker(0)
-                    .take(ctx.exp().instructions as usize)
-                {
-                    if model.access_pc(rec.pc).is_some() {
-                        marks.push(branch_cum);
-                    }
-                    if let Some(b) = rec.branch {
-                        if b.kind == BranchKind::Conditional && !b.inner_loop {
-                            branch_cum += 1;
-                        }
-                    }
-                }
+                let marks = match ctx.lookahead_marks() {
+                    Some(marks) => marks.to_vec(),
+                    None => walk_core(ctx.workload(), 0, ctx.exp().instructions).marks,
+                };
                 if let Some(store) = ctx.store() {
                     if let Err(e) = store.save(&key, std::slice::from_ref(&marks)) {
                         eprintln!("[trace-store] failed to persist fig10 marks: {e}");

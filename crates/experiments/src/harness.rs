@@ -1,12 +1,13 @@
-//! Experiment parameters, the system taxonomy, and thin compatibility
-//! wrappers over the [`engine`](crate::engine) — which owns system
-//! construction, stream building, and parallel execution.
+//! Experiment parameters, the system taxonomy, the trace analyses'
+//! functional walk ([`walk_core`]), and thin compatibility wrappers over
+//! the [`engine`](crate::engine) — which owns system construction, stream
+//! building, and parallel execution.
 
 use tifs_sim::config::SystemConfig;
-use tifs_sim::miss_trace::miss_trace_with_model;
+use tifs_sim::miss_trace::FunctionalFetchModel;
 use tifs_sim::stats::SimReport;
 use tifs_trace::workload::Workload;
-use tifs_trace::BlockAddr;
+use tifs_trace::{BlockAddr, BranchKind};
 
 use crate::engine;
 
@@ -154,24 +155,36 @@ pub fn run_system_with(
     engine::run_cell(workload, &engine::SystemSpec::Kind(kind), cfg, sys)
 }
 
-/// Collects per-core L1-I miss traces (functional model, paper Section
-/// 4.1 miss definition) of `instructions` per core.
-///
-/// Figure pipelines should prefer [`engine::Lab::miss_traces`], which
-/// caches these per workload; this entry point remains for one-off use.
-pub fn collect_miss_traces(
-    workload: &Workload,
-    instructions: u64,
-    cores: usize,
-) -> Vec<Vec<BlockAddr>> {
-    let sys = SystemConfig::table2();
-    (0..cores)
-        .map(|c| {
-            let records = workload.walker(c).take(instructions as usize);
-            let (trace, _) = miss_trace_with_model(records, &sys);
-            trace
-        })
-        .collect()
+/// One core's functional-model pass for the trace analyses.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CoreWalk {
+    /// The L1-I miss trace (paper Section 4.1 miss definition).
+    pub misses: Vec<BlockAddr>,
+    /// Figure 10's lookahead marks, one per miss: the number of
+    /// conditional branches outside innermost loops executed before it.
+    pub marks: Vec<u64>,
+}
+
+/// Walks the first `instructions` of core `core` through the Table II
+/// functional fetch model, recording its misses and their lookahead
+/// marks in one pass. [`engine::Lab::miss_traces`] walks every analysis
+/// core with it, and Figure 10 reuses core 0's marks from that pass.
+pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWalk {
+    let mut model = FunctionalFetchModel::new(&SystemConfig::table2());
+    let mut walk = CoreWalk::default();
+    let mut branches: u64 = 0;
+    for rec in workload.walker(core).take(instructions as usize) {
+        if let Some(block) = model.access_pc(rec.pc) {
+            walk.misses.push(block);
+            walk.marks.push(branches);
+        }
+        if let Some(b) = rec.branch {
+            if b.kind == BranchKind::Conditional && !b.inner_loop {
+                branches += 1;
+            }
+        }
+    }
+    walk
 }
 
 /// Converts per-core miss traces to `u64` symbol vectors for the
@@ -226,9 +239,16 @@ mod tests {
     #[test]
     fn miss_traces_per_core() {
         let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let traces = collect_miss_traces(&w, 30_000, 2);
-        assert_eq!(traces.len(), 2);
-        assert!(traces.iter().all(|t| !t.is_empty()));
+        let walks: Vec<CoreWalk> = (0..2).map(|c| walk_core(&w, c, 30_000)).collect();
+        let sys = SystemConfig::table2();
+        for (c, walk) in walks.iter().enumerate() {
+            assert!(!walk.misses.is_empty());
+            let records = w.walker(c).take(30_000);
+            assert_eq!(walk.misses, tifs_sim::miss_trace(records, &sys));
+            assert_eq!(walk.marks.len(), walk.misses.len());
+            assert!(walk.marks.windows(2).all(|m| m[0] <= m[1]));
+        }
+        let traces: Vec<Vec<BlockAddr>> = walks.into_iter().map(|w| w.misses).collect();
         let syms = to_symbol_traces(&traces);
         assert_eq!(syms[0].len(), traces[0].len());
     }

@@ -44,5 +44,5 @@ pub mod report;
 pub mod sink;
 
 pub use engine::{ExperimentGrid, GridResults, Lab, SystemSpec};
-pub use harness::{collect_miss_traces, run_system, to_symbol_traces, ExpConfig, SystemKind};
+pub use harness::{run_system, to_symbol_traces, walk_core, ExpConfig, SystemKind};
 pub use sink::{ResultsSink, StructuredReport};

@@ -76,12 +76,17 @@ pub struct HeuristicConfig {
     pub max_candidates: usize,
 }
 
+/// Candidate streams remembered per head address by
+/// [`HeuristicConfig::new`].
+pub const DEFAULT_MAX_CANDIDATES: usize = 16;
+
 impl HeuristicConfig {
-    /// Default configuration for a policy: 16 candidates per head.
+    /// Default configuration for a policy: [`DEFAULT_MAX_CANDIDATES`]
+    /// candidates per head.
     pub fn new(heuristic: Heuristic) -> HeuristicConfig {
         HeuristicConfig {
             heuristic,
-            max_candidates: 16,
+            max_candidates: DEFAULT_MAX_CANDIDATES,
         }
     }
 }
@@ -138,9 +143,27 @@ struct AddrState {
 /// assert!(out.coverage() > 0.8);
 /// ```
 pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicOutcome {
+    evaluate_with_index(trace, &LceIndex::new(trace), config)
+}
+
+/// As [`evaluate_heuristic`], over a suffix index already built for
+/// `trace`. Building the index is most of a replay's cost, so a caller
+/// that evaluates several heuristics over one trace builds it once and
+/// passes it to each ([`evaluate_all`] does this for every heuristic).
+///
+/// # Panics
+///
+/// Panics if `lce` does not cover exactly `trace.len()` symbols. The
+/// index must be built over `trace` itself; one built over another trace
+/// of the same length gives meaningless results.
+pub fn evaluate_with_index(
+    trace: &[u64],
+    lce: &LceIndex,
+    config: &HeuristicConfig,
+) -> HeuristicOutcome {
     assert!(config.max_candidates >= 1, "need at least one candidate");
     let n = trace.len();
-    let lce = LceIndex::new(trace);
+    assert_eq!(lce.len(), n, "suffix index built over another trace");
     let mut state: HashMap<u64, AddrState> = HashMap::new();
     let mut out = HeuristicOutcome {
         total_misses: n,
@@ -233,8 +256,10 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
     out
 }
 
-/// Evaluates every heuristic in [`Heuristic::ALL`] over one trace.
+/// Evaluates every heuristic in [`Heuristic::ALL`] over one trace,
+/// building its suffix index once.
 pub fn evaluate_all(trace: &[u64], max_candidates: usize) -> Vec<(Heuristic, HeuristicOutcome)> {
+    let lce = LceIndex::new(trace);
     Heuristic::ALL
         .iter()
         .map(|&h| {
@@ -242,7 +267,7 @@ pub fn evaluate_all(trace: &[u64], max_candidates: usize) -> Vec<(Heuristic, Heu
                 heuristic: h,
                 max_candidates,
             };
-            (h, evaluate_heuristic(trace, &cfg))
+            (h, evaluate_with_index(trace, &lce, &cfg))
         })
         .collect()
 }
@@ -390,6 +415,14 @@ mod tests {
         assert!(out.eliminated + out.lookups <= out.total_misses + out.lookups);
         assert!(out.eliminated < out.total_misses);
         assert_eq!(out.eliminated + out.lookups, out.total_misses);
+    }
+
+    #[test]
+    #[should_panic(expected = "another trace")]
+    fn index_over_another_trace_is_refused() {
+        let trace: Vec<u64> = (0..10).collect();
+        let other = LceIndex::new(&trace[..5]);
+        evaluate_with_index(&trace, &other, &HeuristicConfig::new(Heuristic::Recent));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use tifs_sequitur::categorize::{categorize, CategoryCounts, MissClass};
 use tifs_sequitur::grammar::Sequitur;
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{
+    evaluate_all, evaluate_heuristic, evaluate_with_index, Heuristic, HeuristicConfig,
+};
 use tifs_sequitur::streams::stream_occurrences;
 use tifs_sequitur::suffix::{suffix_array, LceIndex};
 
@@ -134,6 +136,26 @@ proptest! {
                 prop_assert_eq!(out.eliminated + out.lookups, out.total_misses);
             }
             prop_assert!(out.coverage() <= 1.0);
+        }
+    }
+
+    #[test]
+    fn shared_index_matches_an_index_per_call(
+        trace in prop::collection::vec(0u64..10, 0..200),
+        k in 0usize..4,
+    ) {
+        // One suffix index serves every heuristic: each replay over it,
+        // alone or through `evaluate_all`, must equal a replay that
+        // builds its own.
+        let max_candidates = [1, 2, 16, 64][k];
+        let lce = LceIndex::new(&trace);
+        let all = evaluate_all(&trace, max_candidates);
+        prop_assert_eq!(all.len(), Heuristic::ALL.len());
+        for (&h, &shared) in Heuristic::ALL.iter().zip(&all) {
+            let cfg = HeuristicConfig { heuristic: h, max_candidates };
+            let own = evaluate_heuristic(&trace, &cfg);
+            prop_assert_eq!(evaluate_with_index(&trace, &lce, &cfg), own, "{:?}", h);
+            prop_assert_eq!(shared, (h, own));
         }
     }
 

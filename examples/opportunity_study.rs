@@ -9,7 +9,7 @@
 //! web-apache, web-zeus (default: oltp-oracle).
 
 use tifs::sequitur::categorize::{categorize, CategoryCounts};
-use tifs::sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs::sequitur::heuristics::{evaluate_all, DEFAULT_MAX_CANDIDATES};
 use tifs::sequitur::streams::stream_occurrences;
 use tifs::sequitur::{LengthCdf, Sequitur};
 use tifs::sim::config::SystemConfig;
@@ -87,8 +87,7 @@ fn main() {
 
     // Figure 6-style heuristics.
     println!("\nlookup heuristics (fraction of misses eliminable):");
-    for h in Heuristic::ALL {
-        let out = evaluate_heuristic(&trace, &HeuristicConfig::new(h));
+    for (h, out) in evaluate_all(&trace, DEFAULT_MAX_CANDIDATES) {
         println!("  {:12} {:.1}%", h.name(), 100.0 * out.coverage());
     }
 }

@@ -132,11 +132,11 @@ fn determinism_end_to_end() {
 fn opportunity_analysis_consistent_with_timing_coverage() {
     // The SEQUITUR opportunity bound must exceed what the hardware-like
     // TIFS achieves in the timing run (it is an upper bound).
-    use tifs::experiments::harness::{collect_miss_traces, to_symbol_traces};
+    use tifs::experiments::harness::{to_symbol_traces, walk_core};
     use tifs::sequitur::categorize::{categorize, CategoryCounts};
 
     let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
-    let traces = to_symbol_traces(&collect_miss_traces(&w, 400_000, 1));
+    let traces = to_symbol_traces(&[walk_core(&w, 0, 400_000).misses]);
     // The timing run below warms for half its instructions before
     // measuring; compare against the categorization of the same warmed
     // window (the cold half is where Head/New misses concentrate).
