@@ -14,9 +14,6 @@
 //!   detection;
 //! * [`prefetcher`] — the timing-integrated [`TifsPrefetcher`] driving all of the
 //!   above inside the CMP model;
-//! * [`grammar_history`] / [`grammar_prefetcher`] — the grammar arm:
-//!   history metadata as a budget-bounded SEQUITUR grammar over the miss
-//!   stream, with a rule-head index replacing the IML pointer chase;
 //! * [`sharing`] — the cross-core metadata organization axis
 //!   ([`MetadataOrg`]): private per-core capacity (the paper), or a
 //!   MANA/Triangel-style shared pool behind arbitrated ports at
@@ -46,8 +43,6 @@
 #![forbid(unsafe_code)]
 
 pub mod functional;
-pub mod grammar_history;
-pub mod grammar_prefetcher;
 pub mod iml;
 pub mod index;
 pub mod prefetcher;
@@ -55,10 +50,6 @@ pub mod sharing;
 pub mod svb;
 
 pub use functional::{FunctionalConfig, FunctionalReport, FunctionalTifs};
-pub use grammar_history::{
-    GrammarHistory, GrammarHistoryConfig, GRAMMAR_INDEX_SLOT_BYTES, GRAMMAR_NODE_BYTES,
-};
-pub use grammar_prefetcher::{TifsGrammarConfig, TifsGrammarPrefetcher};
 pub use iml::{entries_per_core_for_kb, Iml, ImlEntry, BITS_PER_ENTRY, ENTRIES_PER_L2_BLOCK};
 pub use index::{ImlPtr, IndexKind, IndexTable};
 pub use prefetcher::{ImlStorage, TifsConfig, TifsPrefetcher};

@@ -66,8 +66,7 @@
 use std::sync::OnceLock;
 
 use tifs_core::{
-    CapacityPartition, GrammarHistoryConfig, ImlStorage, IndexKind, MetadataOrg, TifsConfig,
-    TifsGrammarConfig, TifsGrammarPrefetcher, TifsPrefetcher,
+    CapacityPartition, ImlStorage, IndexKind, MetadataOrg, TifsConfig, TifsPrefetcher,
 };
 use tifs_prefetch::{
     DiscontinuityConfig, DiscontinuityPrefetcher, Fdip, FdipConfig, ProbabilisticPrefetcher,
@@ -266,13 +265,6 @@ pub enum SystemSpec {
         /// The configuration under test.
         config: TifsConfig,
     },
-    /// The grammar arm under an explicit configuration.
-    Grammar {
-        /// Display label for tables.
-        label: String,
-        /// The configuration under test.
-        config: TifsGrammarConfig,
-    },
 }
 
 impl From<SystemKind> for SystemSpec {
@@ -290,19 +282,11 @@ impl SystemSpec {
         }
     }
 
-    /// A labelled grammar-arm cell.
-    pub fn grammar(label: impl Into<String>, config: TifsGrammarConfig) -> SystemSpec {
-        SystemSpec::Grammar {
-            label: label.into(),
-            config,
-        }
-    }
-
     /// Display name matching the paper's legends.
     pub fn name(&self) -> String {
         match self {
             SystemSpec::Kind(k) => k.name(),
-            SystemSpec::Tifs { label, .. } | SystemSpec::Grammar { label, .. } => label.clone(),
+            SystemSpec::Tifs { label, .. } => label.clone(),
         }
     }
 }
@@ -318,9 +302,6 @@ pub fn build_prefetcher<'a>(
     let kind = match system {
         SystemSpec::Tifs { config, .. } => {
             return Box::new(TifsPrefetcher::new(sys.num_cores, *config));
-        }
-        SystemSpec::Grammar { config, .. } => {
-            return Box::new(TifsGrammarPrefetcher::new(sys.num_cores, *config));
         }
         SystemSpec::Kind(kind) => *kind,
     };
@@ -347,10 +328,6 @@ pub fn build_prefetcher<'a>(
         )),
         SystemKind::Probabilistic(p) => Box::new(ProbabilisticPrefetcher::new(p, seed ^ 0x9D)),
         SystemKind::Perfect => Box::new(ProbabilisticPrefetcher::perfect(seed ^ 0x9D)),
-        SystemKind::TifsGrammar => Box::new(TifsGrammarPrefetcher::new(
-            sys.num_cores,
-            TifsGrammarConfig::default(),
-        )),
     }
 }
 
@@ -546,6 +523,12 @@ fn hash_system_config(h: &mut Fingerprint, sys: &SystemConfig) {
 /// the full TIFS configuration for ablation cells. Labels are display
 /// metadata and deliberately not hashed — two labels over one
 /// configuration are the same content.
+///
+/// Tags are append-only: a new variant takes the next free tag, so every
+/// key minted before it exists is unchanged. Kind tag 8 and spec tag 2
+/// are retired (the grammar arm's `SystemKind::TifsGrammar` and
+/// `SystemSpec::Grammar`) and must not be reused: a reused tag would
+/// address store entries written for another system.
 fn hash_system_spec(h: &mut Fingerprint, system: &SystemSpec) {
     match system {
         SystemSpec::Kind(kind) => {
@@ -562,50 +545,13 @@ fn hash_system_spec(h: &mut Fingerprint, system: &SystemSpec) {
                     h.f64(*p);
                 }
                 SystemKind::Perfect => h.u64(7),
-                // Append-only: new kinds take the next free discriminant;
-                // earlier kinds' keys are untouched.
-                SystemKind::TifsGrammar => h.u64(8),
             }
         }
         SystemSpec::Tifs { label: _, config } => {
             h.u64(1);
             hash_tifs_config(h, config);
         }
-        // Append-only: a new top-level spec variant takes the next free
-        // discriminant, so every Kind/Tifs key minted before it exists is
-        // unchanged and all pre-existing store entries stay warm.
-        SystemSpec::Grammar { label: _, config } => {
-            h.u64(2);
-            hash_grammar_config(h, config);
-        }
     }
-}
-
-/// Feeds every [`TifsGrammarConfig`] field (exhaustive destructuring, as
-/// [`hash_tifs_config`]): a new field without a hash line is a compile
-/// error, never a stale hit.
-fn hash_grammar_config(h: &mut Fingerprint, cfg: &TifsGrammarConfig) {
-    let TifsGrammarConfig {
-        history:
-            GrammarHistoryConfig {
-                budget_bytes_per_core,
-                rle,
-                refresh_interval,
-                max_stream,
-            },
-        svb_blocks,
-        stream_contexts,
-        rate_target,
-        end_of_stream,
-    } = cfg;
-    h.u64(*budget_bytes_per_core as u64);
-    h.bool(*rle);
-    h.u64(*refresh_interval);
-    h.u64(*max_stream as u64);
-    h.u64(*svb_blocks as u64);
-    h.u64(*stream_contexts as u64);
-    h.u64(*rate_target as u64);
-    h.bool(*end_of_stream);
 }
 
 /// Feeds every [`TifsConfig`] field (exhaustive destructuring).

@@ -104,9 +104,6 @@ pub enum SystemKind {
     Probabilistic(f64),
     /// Perfect, timely instruction prefetcher (upper bound).
     Perfect,
-    /// TIFS with grammar-compressed history metadata (SEQUITUR over the
-    /// miss stream) at the default iso-storage budget.
-    TifsGrammar,
 }
 
 impl SystemKind {
@@ -121,7 +118,6 @@ impl SystemKind {
             SystemKind::TifsVirtualized => "TIFS-virtualized".into(),
             SystemKind::Probabilistic(p) => format!("Prob({:.0}%)", p * 100.0),
             SystemKind::Perfect => "Perfect".into(),
-            SystemKind::TifsGrammar => "TIFS-grammar".into(),
         }
     }
 
@@ -229,7 +225,6 @@ mod tests {
             SystemKind::TifsVirtualized,
             SystemKind::Probabilistic(0.5),
             SystemKind::Perfect,
-            SystemKind::TifsGrammar,
         ] {
             let pf = build_prefetcher(&SystemSpec::Kind(kind), &w, &sys, 1);
             assert!(!pf.name().is_empty());

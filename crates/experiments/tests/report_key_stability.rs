@@ -14,7 +14,7 @@
 //! bool). Update these pins only with a deliberate, store-invalidating
 //! key-format bump, and say so in the commit.
 
-use tifs_core::{ImlStorage, MetadataOrg, TifsConfig, TifsGrammarConfig};
+use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
 use tifs_experiments::engine::{
     report_key, report_key_cell, run_cell, run_cell_sharded, run_cell_sharded_contended, ExecMode,
     SystemSpec,
@@ -434,55 +434,6 @@ fn byte_pins_reach_flush_retry_and_pool_paths() {
     );
     assert!(report.prefetcher_counter("iml_pool_evictions").unwrap() > 0.0);
     assert!(report.prefetcher_counter("meta_port_conflicts").unwrap() > 0.0);
-}
-
-#[test]
-fn grammar_systems_address_disjoint_content_from_every_pin() {
-    // The grammar arm (PR 8) extends the key schema append-only: a new
-    // `SystemKind` discriminant and a new top-level `SystemSpec`
-    // discriminant, neither of which touches how any pre-existing system
-    // hashes (the pin tests above prove that). Its own keys must land in
-    // fresh address space — distinct from every pin and from each other
-    // across config knobs.
-    let exp = pin_exp();
-    let sys = SystemConfig::table2();
-    let specs: Vec<SystemSpec> = vec![
-        SystemSpec::Kind(SystemKind::TifsGrammar),
-        SystemSpec::grammar("default", TifsGrammarConfig::default()),
-        SystemSpec::grammar("rle", TifsGrammarConfig::default().with_rle(true)),
-        SystemSpec::grammar(
-            "small",
-            TifsGrammarConfig::default().with_budget_bytes(2_496),
-        ),
-    ];
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for mode in [
-            ExecMode::Coupled,
-            ExecMode::Sharded,
-            ExecMode::ShardedContended,
-        ] {
-            let key = report_key(&WorkloadSpec::web_zeus(), exp.seed, spec, &exp, &sys, mode);
-            for pin in PINS {
-                assert_ne!(
-                    key.0,
-                    pin.key,
-                    "{}/{mode:?} must not collide with pin {}",
-                    spec.name(),
-                    pin.label
-                );
-            }
-            keys.push((format!("{}/{mode:?}", spec.name()), key.0));
-        }
-    }
-    for (i, (a_label, a)) in keys.iter().enumerate() {
-        for (b_label, b) in &keys[i + 1..] {
-            assert_ne!(
-                a, b,
-                "grammar keys must be distinct: {a_label} vs {b_label}"
-            );
-        }
-    }
 }
 
 #[test]

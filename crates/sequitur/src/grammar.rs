@@ -40,16 +40,6 @@
 //! drain time, which reproduces the reference cascade order exactly —
 //! the grammar-equivalence suite in `tests/equivalence.rs` pins the
 //! whole engine, rule for rule, against the pre-arena implementation.
-//!
-//! # Run-length-encoded mode
-//!
-//! [`Sequitur::new_rle`] enables run-length encoding: maximal runs of a
-//! repeated terminal enter the grammar as a single [`Sym::Run`] symbol
-//! (the exemplar's `rle_sequitur` idiom), so repetitive streams compress
-//! far harder — a miss trace that ping-pongs over the same block
-//! contributes one symbol per burst instead of one per miss. The flag is
-//! strictly opt-in: in default mode no `Run` symbol is ever produced and
-//! the grammar is bit-identical to the reference implementation.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -63,14 +53,11 @@ const NIL: u32 = u32::MAX;
 ///
 /// `Guard` carries the id of the rule it belongs to, which lets a digram
 /// match discover "this digram is the complete right-hand side of rule R"
-/// in O(1), exactly as in the reference implementation. `Run` only occurs
-/// in RLE mode.
+/// in O(1), exactly as in the reference implementation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Value {
     /// A terminal symbol from the input alphabet.
     Terminal(u64),
-    /// `count` adjacent copies of one terminal (RLE mode only).
-    Run(u64, u32),
     /// A reference to (use of) a rule.
     Rule(u32),
     /// The guard node of a rule's circular list; never part of a digram.
@@ -88,7 +75,6 @@ impl Value {
 enum Kind {
     Dead,
     Terminal,
-    Run,
     Rule,
     Guard,
 }
@@ -100,9 +86,9 @@ enum Kind {
 struct Node {
     prev: u32,
     next: u32,
-    /// Terminal payload for `Terminal` / `Run` nodes.
+    /// Terminal payload for `Terminal` nodes.
     term: u64,
-    /// Rule id for `Rule` / `Guard` nodes; run length for `Run` nodes.
+    /// Rule id for `Rule` / `Guard` nodes.
     aux: u32,
     kind: Kind,
     /// Bumped (wrapping) each time the slot is freed; lets debug builds
@@ -115,7 +101,6 @@ impl Node {
     fn value(&self) -> Value {
         match self.kind {
             Kind::Terminal => Value::Terminal(self.term),
-            Kind::Run => Value::Run(self.term, self.aux),
             Kind::Rule => Value::Rule(self.aux),
             Kind::Guard => Value::Guard(self.aux),
             Kind::Dead => unreachable!("value() on dead node"),
@@ -129,11 +114,6 @@ impl Node {
                 self.kind = Kind::Terminal;
                 self.term = t;
                 self.aux = 0;
-            }
-            Value::Run(t, c) => {
-                self.kind = Kind::Run;
-                self.term = t;
-                self.aux = c;
             }
             Value::Rule(r) => {
                 self.kind = Kind::Rule;
@@ -237,7 +217,6 @@ const HASH_K2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 fn sym_hash(v: Value) -> u64 {
     match v {
         Value::Terminal(t) => t.wrapping_mul(HASH_K1),
-        Value::Run(t, c) => t.wrapping_mul(HASH_K1) ^ (c as u64).wrapping_mul(HASH_K2) ^ !0,
         Value::Rule(r) => (r as u64 ^ 0x5151_5151_5151_5151).wrapping_mul(HASH_K2),
         Value::Guard(_) => unreachable!("guards are never hashed"),
     }
@@ -290,10 +269,6 @@ pub struct Sequitur {
     pending: VecDeque<u32>,
     /// Number of terminals pushed so far.
     len: usize,
-    /// Run-length-encoded mode (see [`Sequitur::new_rle`]).
-    rle: bool,
-    /// RLE mode: the still-open trailing run of the input.
-    open_run: Option<(u64, u32)>,
 }
 
 impl fmt::Debug for Sequitur {
@@ -302,7 +277,6 @@ impl fmt::Debug for Sequitur {
             .field("len", &self.len)
             .field("rules", &self.rules.len())
             .field("digrams", &self.digrams.len())
-            .field("rle", &self.rle)
             .finish()
     }
 }
@@ -316,15 +290,7 @@ impl Default for Sequitur {
 impl Sequitur {
     /// Creates an empty grammar containing only the start rule.
     pub fn new() -> Self {
-        Self::with_options(0, false)
-    }
-
-    /// Creates an empty grammar in run-length-encoded mode: maximal runs
-    /// of one repeated terminal become a single [`Sym::Run`] symbol, so
-    /// bursty streams compress much harder. Default-mode output is
-    /// unaffected by the existence of this flag.
-    pub fn new_rle() -> Self {
-        Self::with_options(0, true)
+        Self::with_capacity(0)
     }
 
     /// Creates an empty grammar with capacity for a trace of `n`
@@ -333,40 +299,24 @@ impl Sequitur {
     /// are reserved in full and a pre-sized build never reallocates the
     /// slab nor rehashes the digram table mid-stream.
     pub fn with_capacity(n: usize) -> Self {
-        Self::with_options(n, false)
-    }
-
-    /// [`Sequitur::with_capacity`] in RLE mode ([`Sequitur::new_rle`]).
-    pub fn with_capacity_rle(n: usize) -> Self {
-        Self::with_options(n, true)
-    }
-
-    fn with_options(capacity: usize, rle: bool) -> Self {
         let mut s = Sequitur {
             arena: Arena::default(),
             rules: Vec::new(),
             free_rules: Vec::new(),
-            digrams: if capacity == 0 {
+            digrams: if n == 0 {
                 DigramIndex::new()
             } else {
-                DigramIndex::with_capacity(capacity)
+                DigramIndex::with_capacity(n)
             },
             pending: VecDeque::new(),
             len: 0,
-            rle,
-            open_run: None,
         };
         // Worst case (no repetition) keeps every terminal as a live
         // node; guards and transient rule bodies ride in the slack.
-        s.arena.reserve(capacity + capacity / 8 + 8);
+        s.arena.reserve(n + n / 8 + 8);
         let start = s.new_rule();
         debug_assert_eq!(start, 0);
         s
-    }
-
-    /// Whether this builder is in run-length-encoded mode.
-    pub fn is_rle(&self) -> bool {
-        self.rle
     }
 
     /// Number of slots in the digram table (see
@@ -390,29 +340,9 @@ impl Sequitur {
     /// SEQUITUR invariants before returning.
     pub fn push(&mut self, terminal: u64) {
         self.len += 1;
-        if self.rle {
-            match self.open_run {
-                Some((t, c)) if t == terminal && c < u32::MAX => {
-                    self.open_run = Some((t, c + 1));
-                }
-                Some((t, c)) => {
-                    self.append_value(run_value(t, c));
-                    self.open_run = Some((terminal, 1));
-                }
-                None => {
-                    self.open_run = Some((terminal, 1));
-                }
-            }
-        } else {
-            self.append_value(Value::Terminal(terminal));
-        }
-    }
-
-    /// Appends one symbol to the start rule and drains the check queue.
-    fn append_value(&mut self, value: Value) {
         let guard = self.rules[0].guard;
         let last = self.arena.prev(guard);
-        self.insert_after(last, value);
+        self.insert_after(last, Value::Terminal(terminal));
         if last != guard {
             self.enqueue(last);
         }
@@ -420,135 +350,8 @@ impl Sequitur {
     }
 
     /// Consumes the builder and returns an immutable, compact [`Grammar`].
-    pub fn into_grammar(mut self) -> Grammar {
-        if let Some((t, c)) = self.open_run.take() {
-            self.append_value(run_value(t, c));
-        }
+    pub fn into_grammar(self) -> Grammar {
         Grammar::from_builder(&self)
-    }
-
-    /// Exports the current grammar without consuming the builder (the
-    /// streaming prefetcher snapshots its live grammar between pushes).
-    /// An open RLE run is appended to the exported start rule only; the
-    /// builder keeps accumulating it.
-    pub fn to_grammar(&self) -> Grammar {
-        let mut g = Grammar::from_builder(self);
-        if let Some((t, c)) = self.open_run {
-            g.rules[0].symbols.push(match run_value(t, c) {
-                Value::Terminal(t) => Sym::T(t),
-                Value::Run(t, c) => Sym::Run(t, c),
-                _ => unreachable!("run_value yields terminals or runs"),
-            });
-            g.rules[0].expansion_len += c as usize;
-        }
-        g
-    }
-
-    /// Number of live arena nodes (terminals, runs, rule references, and
-    /// rule guards currently reachable). The streaming byte budget
-    /// charges these; freed slots on the free list cost nothing.
-    pub fn live_nodes(&self) -> usize {
-        self.arena.nodes.len() - self.arena.free.len()
-    }
-
-    /// Evicts the oldest input symbol from the start rule, returning the
-    /// number of terminals it expanded to (0 when the grammar is empty).
-    ///
-    /// This is the streaming-eviction primitive: dropping the front of
-    /// rule 0 forgets the oldest history, and a rule whose last
-    /// reference is dropped is reaped in full (body nodes freed, digram
-    /// entries removed, cascading into sub-rules). A rule left at a
-    /// single use is *not* inlined — locating the lone remaining
-    /// reference would cost a full grammar scan per eviction — so
-    /// streaming relaxes rule utility to "referenced at least once"
-    /// ([`Sequitur::assert_invariants_relaxed`]); digram uniqueness and
-    /// index integrity are maintained in full.
-    pub fn evict_front(&mut self) -> usize {
-        let guard = self.rules[0].guard;
-        let first = self.next(guard);
-        if first == guard {
-            // Only the open RLE run (if any) remains.
-            return match self.open_run.take() {
-                Some((t, c)) => {
-                    if c > 1 {
-                        self.open_run = Some((t, c - 1));
-                    }
-                    self.len -= 1;
-                    1
-                }
-                None => 0,
-            };
-        }
-        let v = self.value(first);
-        let evicted = match v {
-            Value::Terminal(_) => 1,
-            Value::Run(_, c) => c as usize,
-            Value::Rule(r) => self.rule_expansion_len(r),
-            Value::Guard(_) => unreachable!("guards are list heads only"),
-        };
-        self.delete_node(first);
-        if let Value::Rule(r) = v {
-            if self.rules[r as usize].usage == 0 {
-                self.reap_rule(r);
-            }
-        }
-        self.drain_queue();
-        self.len -= evicted;
-        evicted
-    }
-
-    /// Expansion length of a live rule, computed by walking its body.
-    /// Cost is linear in the expansion — which is exactly what
-    /// [`Sequitur::evict_front`] removes, so streaming eviction stays
-    /// amortized O(1) per evicted terminal.
-    fn rule_expansion_len(&self, r: u32) -> usize {
-        let mut total = 0usize;
-        let mut stack: Vec<u32> = vec![self.next(self.rules[r as usize].guard)];
-        while let Some(n) = stack.pop() {
-            let v = self.value(n);
-            if v.is_guard() {
-                continue;
-            }
-            stack.push(self.next(n));
-            match v {
-                Value::Terminal(_) => total += 1,
-                Value::Run(_, c) => total += c as usize,
-                Value::Rule(q) => stack.push(self.next(self.rules[q as usize].guard)),
-                Value::Guard(_) => unreachable!("guards were skipped above"),
-            }
-        }
-        total
-    }
-
-    /// Frees a rule with no remaining references: unlinks and frees its
-    /// body nodes (removing their digram-index entries through the
-    /// normal deletion path) and cascades into rules whose last
-    /// reference lived in that body.
-    fn reap_rule(&mut self, root: u32) {
-        let mut work = vec![root];
-        while let Some(r) = work.pop() {
-            let meta = &self.rules[r as usize];
-            if !meta.alive || meta.usage != 0 {
-                continue;
-            }
-            let guard = meta.guard;
-            let mut n = self.next(guard);
-            while n != guard {
-                let nx = self.next(n);
-                let v = self.value(n);
-                self.delete_node(n);
-                if let Value::Rule(q) = v {
-                    if self.rules[q as usize].usage == 0 {
-                        work.push(q);
-                    }
-                }
-                n = nx;
-            }
-            self.arena.free(guard);
-            self.rules[r as usize].alive = false;
-            self.rules[r as usize].guard = NIL;
-            self.free_rules.push(r);
-        }
     }
 
     // ----- arena helpers ---------------------------------------------------
@@ -859,9 +662,6 @@ impl Sequitur {
                     Value::Terminal(t) => {
                         let _ = write!(out, " {t}");
                     }
-                    Value::Run(t, c) => {
-                        let _ = write!(out, " {t}x{c}");
-                    }
                     Value::Rule(r) => {
                         let _ = write!(out, " R{r}");
                     }
@@ -882,18 +682,6 @@ impl Sequitur {
     /// Verifies both SEQUITUR invariants, panicking with a diagnostic if one
     /// is violated. Intended for tests; cost is O(grammar size).
     pub fn assert_invariants(&self) {
-        self.check_invariants(true)
-    }
-
-    /// Invariants under streaming eviction: digram uniqueness, usage
-    /// accounting, and index integrity in full, but rule utility relaxed
-    /// to "referenced at least once" ([`Sequitur::evict_front`] leaves
-    /// single-use rules in place by design).
-    pub fn assert_invariants_relaxed(&self) {
-        self.check_invariants(false)
-    }
-
-    fn check_invariants(&self, require_utility: bool) {
         use std::collections::HashMap;
         let mut seen: HashMap<(Value, Value), u32> = HashMap::new();
         let mut usage: HashMap<u32, u32> = HashMap::new();
@@ -938,11 +726,7 @@ impl Sequitur {
             }
             let u = usage.get(&(id as u32)).copied().unwrap_or(0);
             assert_eq!(u, rule.usage, "rule {id} usage counter out of sync");
-            if require_utility {
-                assert!(u >= 2, "rule {id} used {u} < 2 times (utility violated)");
-            } else {
-                assert!(u >= 1, "rule {id} unreferenced but not reaped");
-            }
+            assert!(u >= 2, "rule {id} used {u} < 2 times (utility violated)");
         }
         // Every digram-index entry must point at a live, correctly-hashed
         // occurrence whose digram is part of some rule body.
@@ -963,17 +747,6 @@ impl Sequitur {
                 (a, b)
             );
         }
-    }
-}
-
-/// Run of length 1 is a plain terminal; RLE mode only materializes
-/// `Run` symbols for genuine repeats.
-#[inline]
-fn run_value(t: u64, c: u32) -> Value {
-    if c == 1 {
-        Value::Terminal(t)
-    } else {
-        Value::Run(t, c)
     }
 }
 
@@ -1004,10 +777,6 @@ pub enum Sym {
     T(u64),
     /// A reference to `Grammar::rules()[index]`.
     R(usize),
-    /// A run of identical terminals: `Run(t, count)` expands to `count`
-    /// copies of `t`. Only produced by RLE-mode builders
-    /// ([`Sequitur::new_rle`]); default-mode grammars never contain it.
-    Run(u64, u32),
 }
 
 /// One production rule of an exported [`Grammar`].
@@ -1028,8 +797,7 @@ pub struct GrammarStats {
     pub input_len: usize,
     /// Number of rules, including the start rule.
     pub num_rules: usize,
-    /// Total symbols across all rule bodies (the compressed size). A
-    /// [`Sym::Run`] counts as one symbol — that is the RLE win.
+    /// Total symbols across all rule bodies (the compressed size).
     pub grammar_size: usize,
 }
 
@@ -1062,7 +830,6 @@ impl Grammar {
             while n != guard {
                 symbols.push(match b.value(n) {
                     Value::Terminal(t) => Sym::T(t),
-                    Value::Run(t, c) => Sym::Run(t, c),
                     Value::Rule(r) => Sym::R(index[r as usize]),
                     Value::Guard(_) => unreachable!("guards are list heads only"),
                 });
@@ -1093,7 +860,6 @@ impl Grammar {
             for i in 0..rules[r].symbols.len() {
                 total += match rules[r].symbols[i] {
                     Sym::T(_) => 1,
-                    Sym::Run(_, c) => c as usize,
                     Sym::R(q) => expand_len(rules, memo, q),
                 };
             }
@@ -1107,40 +873,6 @@ impl Grammar {
         for (rule, len) in self.rules.iter_mut().zip(memo) {
             rule.expansion_len = len;
         }
-    }
-
-    /// Builds a grammar directly from rule bodies (index 0 is the start
-    /// rule), recomputing usage counts and expansion lengths;
-    /// `input_len` is the start rule's expansion. Exists for tests and
-    /// tools that need grammars the builder cannot produce (degenerate
-    /// `Sym::Run` counts, unreferenced rules). Rule references must be
-    /// in range and acyclic.
-    pub fn from_rules(bodies: Vec<Vec<Sym>>) -> Grammar {
-        assert!(!bodies.is_empty(), "a grammar needs a start rule");
-        let mut usage = vec![0usize; bodies.len()];
-        for body in &bodies {
-            for s in body {
-                if let Sym::R(q) = s {
-                    usage[*q] += 1;
-                }
-            }
-        }
-        let rules = bodies
-            .into_iter()
-            .zip(usage)
-            .map(|(symbols, usage)| Rule {
-                symbols,
-                usage,
-                expansion_len: 0,
-            })
-            .collect();
-        let mut g = Grammar {
-            rules,
-            input_len: 0,
-        };
-        g.compute_expansion_lens();
-        g.input_len = g.rules[0].expansion_len;
-        g
     }
 
     /// The start rule (rule 0).
@@ -1187,7 +919,6 @@ impl Grammar {
             stack.push((r, i + 1));
             match self.rules[r].symbols[i] {
                 Sym::T(t) => out.push(t),
-                Sym::Run(t, c) => out.extend(std::iter::repeat_n(t, c as usize)),
                 Sym::R(q) => stack.push((q, 0)),
             }
         }
@@ -1215,17 +946,6 @@ mod tests {
         }
         let g = s.into_grammar();
         assert_eq!(g.expand(), input, "grammar must regenerate its input");
-        g
-    }
-
-    fn roundtrip_rle(input: &[u64]) -> Grammar {
-        let mut s = Sequitur::new_rle();
-        for &x in input {
-            s.push(x);
-            s.assert_invariants();
-        }
-        let g = s.into_grammar();
-        assert_eq!(g.expand(), input, "RLE grammar must regenerate its input");
         g
     }
 
@@ -1397,83 +1117,5 @@ mod tests {
         s.assert_invariants();
         let g = s.into_grammar();
         assert_eq!(g.expand(), input);
-    }
-
-    // ----- RLE mode --------------------------------------------------------
-
-    #[test]
-    fn rle_collapses_pure_run() {
-        // 40 copies of one terminal: the whole input is one Run symbol.
-        let input = vec![7u64; 40];
-        let g = roundtrip_rle(&input);
-        assert_eq!(g.num_rules(), 1);
-        assert_eq!(g.start().symbols, vec![Sym::Run(7, 40)]);
-        assert_eq!(g.stats().grammar_size, 1);
-        assert_eq!(g.start().expansion_len, 40);
-    }
-
-    #[test]
-    fn rle_default_mode_never_emits_runs() {
-        let input = vec![7u64; 40];
-        let g = roundtrip(&input);
-        for r in g.rules() {
-            for s in &r.symbols {
-                assert!(!matches!(s, Sym::Run(..)), "default mode emitted {s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn rle_compresses_bursty_stream_harder() {
-        // Bursts of repeats around a recurring scaffold: RLE folds each
-        // burst to one symbol, plain SEQUITUR keeps digram pyramids.
-        let mut input = Vec::new();
-        for i in 0..20 {
-            input.extend(std::iter::repeat_n(1u64, 9));
-            input.push(100 + (i % 3));
-            input.extend(std::iter::repeat_n(2u64, 7));
-            input.push(200);
-        }
-        let plain = roundtrip(&input).stats();
-        let rle = roundtrip_rle(&input).stats();
-        assert!(
-            rle.grammar_size < plain.grammar_size,
-            "RLE ({rle:?}) should beat plain ({plain:?}) on bursty input"
-        );
-    }
-
-    #[test]
-    fn rle_single_trailing_run_flushes_on_export() {
-        // The open run at end-of-input must be flushed by into_grammar.
-        let mut s = Sequitur::new_rle();
-        s.extend([5u64, 5, 5, 9, 9].iter().copied());
-        assert_eq!(s.len(), 5);
-        let g = s.into_grammar();
-        assert_eq!(g.expand(), vec![5, 5, 5, 9, 9]);
-        assert_eq!(g.start().symbols, vec![Sym::Run(5, 3), Sym::Run(9, 2)]);
-    }
-
-    #[test]
-    fn rle_roundtrips_mixed_streams() {
-        let mut x: u64 = 0xDEADBEEF12345678;
-        let mut input = Vec::new();
-        for _ in 0..800 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let v = x % 4;
-            let reps = 1 + (x >> 8) % 6;
-            input.extend(std::iter::repeat_n(v, reps as usize));
-        }
-        let mut s = Sequitur::new_rle();
-        for &v in &input {
-            s.push(v);
-        }
-        s.assert_invariants();
-        let g = s.into_grammar();
-        assert_eq!(g.expand(), input);
-        for i in 0..g.num_rules() {
-            assert_eq!(g.rules()[i].expansion_len, g.expand_rule(i).len());
-        }
     }
 }

@@ -42,13 +42,11 @@
 pub mod categorize;
 pub mod grammar;
 pub mod heuristics;
-pub mod streaming;
 pub mod streams;
 pub mod suffix;
 
 pub use categorize::{categorize, CategoryCounts, MissClass};
 pub use grammar::{Grammar, GrammarStats, Rule, Sequitur, Sym};
 pub use heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig, HeuristicOutcome};
-pub use streaming::{StreamingSequitur, GRAMMAR_NODE_BYTES};
 pub use streams::{stream_occurrences, walk_grammar, GrammarWalk, LengthCdf, StreamOccurrence};
 pub use suffix::LceIndex;

@@ -66,11 +66,6 @@ pub fn walk_grammar(grammar: &Grammar) -> GrammarWalk {
             // terminal inside a descended rule body belongs to the training
             // pass of a stream that recurs later.
             Sym::T(_) => walk.class_codes.push(if r == 0 { 0 } else { 1 }),
-            // A run symbol stands for `c` adjacent terminals; classify each
-            // the same way a plain terminal in this position would be.
-            Sym::Run(_, c) => walk
-                .class_codes
-                .extend(std::iter::repeat_n(if r == 0 { 0 } else { 1 }, c as usize)),
             Sym::R(q) => {
                 counts[q] += 1;
                 let len = rules[q].expansion_len;
@@ -82,14 +77,10 @@ pub fn walk_grammar(grammar: &Grammar) -> GrammarWalk {
                 });
                 if counts[q] == 1 {
                     stack.push((q, 0));
-                } else if len > 0 {
+                } else {
                     // A recurrence contributes one Head plus `len - 1`
-                    // Opportunity misses. A zero-expansion rule (possible
-                    // only via a zero-count `Sym::Run` in a hand-built
-                    // grammar) contributes no trace positions at all —
-                    // emitting the unconditional Head here would both
-                    // underflow `len - 1` and diverge from
-                    // `expansion_len`.
+                    // Opportunity misses (every rule body holds at least
+                    // two symbols, so `len >= 2`).
                     walk.class_codes.push(2);
                     walk.class_codes.extend(std::iter::repeat_n(3, len - 1));
                 }

@@ -18,14 +18,6 @@ fn empty_stream() {
 }
 
 #[test]
-fn empty_stream_rle() {
-    let g = Sequitur::new_rle().into_grammar();
-    assert_eq!(g.num_rules(), 1);
-    assert_eq!(g.expand(), Vec::<u64>::new());
-    assert_eq!(g.stats().grammar_size, 0);
-}
-
-#[test]
 fn single_terminal() {
     let mut s = Sequitur::new();
     s.push(u64::MAX);

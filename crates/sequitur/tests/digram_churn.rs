@@ -1,9 +1,10 @@
-//! Satellite audit: `DigramIndex` under the grammar arm's delete-heavy
-//! eviction path. Backward-shift deletion must never strand a probe
-//! chain — after any interleaving of inserts and removes (including the
-//! mass removals rule reaping produces), every surviving entry stays
-//! findable. Verified against a `HashMap` model, with a deliberately
-//! collision-heavy hash so probe chains actually displace.
+//! `DigramIndex` under delete-heavy churn: the batch SEQUITUR engine
+//! removes digram entries on every substitution and inlining, and
+//! backward-shift deletion must never strand a probe chain — after any
+//! interleaving of inserts and removes (including mass removals), every
+//! surviving entry stays findable. Verified against a `HashMap` model,
+//! with a deliberately collision-heavy hash so probe chains actually
+//! displace.
 
 use std::collections::HashMap;
 

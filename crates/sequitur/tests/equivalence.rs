@@ -778,7 +778,6 @@ fn flatten_new(g: &Grammar) -> Vec<FlatRule> {
                 .map(|s| match *s {
                     Sym::T(t) => (0u8, t),
                     Sym::R(q) => (1u8, q as u64),
-                    Sym::Run(..) => panic!("default mode must never emit Run"),
                 })
                 .collect();
             (syms, r.usage, r.expansion_len)

@@ -1,10 +1,9 @@
-//! Satellite audit: `walk_grammar` must classify exactly one trace
-//! position per terminal of the expansion — `walk count ==
-//! expansion_len` — in default and RLE modes, including degenerate
-//! `Sym::Run` counts (0, 1, huge) that only hand-built grammars contain.
+//! `walk_grammar` must classify exactly one trace position per terminal
+//! of the expansion — `walk count == expansion_len` — and credit every
+//! occurrence with its rule's full expansion.
 
 use proptest::prelude::*;
-use tifs_sequitur::grammar::{Grammar, Sequitur, Sym};
+use tifs_sequitur::grammar::{Grammar, Sequitur};
 use tifs_sequitur::streams::walk_grammar;
 
 /// The recurrence branch of the walk credits `1 + (len - 1)` positions;
@@ -28,60 +27,7 @@ fn assert_walk_agrees(g: &Grammar) {
     }
 }
 
-#[test]
-fn zero_count_run_inside_a_recurring_rule() {
-    // S -> R1 9 R1 ; R1 -> 5x0 6  (expansion "6"): the recurrence is a
-    // single Head miss, never a `len - 1` underflow.
-    let g = Grammar::from_rules(vec![
-        vec![Sym::R(1), Sym::T(9), Sym::R(1)],
-        vec![Sym::Run(5, 0), Sym::T(6)],
-    ]);
-    assert_eq!(g.rules()[1].expansion_len, 1);
-    assert_eq!(g.expand(), vec![6, 9, 6]);
-    assert_walk_agrees(&g);
-}
-
-#[test]
-fn zero_expansion_rule_recurrence_contributes_nothing() {
-    // R1 expands to nothing at all; its recurrence must emit no class
-    // codes (pre-fix this underflowed `len - 1`).
-    let g = Grammar::from_rules(vec![
-        vec![Sym::R(1), Sym::T(9), Sym::R(1)],
-        vec![Sym::Run(5, 0), Sym::Run(6, 0)],
-    ]);
-    assert_eq!(g.rules()[1].expansion_len, 0);
-    assert_eq!(g.expand(), vec![9]);
-    assert_walk_agrees(&g);
-}
-
-#[test]
-fn count_one_and_huge_runs_agree() {
-    // Run(_, 1) behaves as a plain terminal; a huge run contributes its
-    // full count to both the walk and the expansion.
-    let g = Grammar::from_rules(vec![
-        vec![Sym::R(1), Sym::T(3), Sym::R(1)],
-        vec![Sym::Run(7, 1), Sym::Run(8, 100_000)],
-    ]);
-    assert_eq!(g.rules()[1].expansion_len, 100_001);
-    assert_walk_agrees(&g);
-    let walk = walk_grammar(&g);
-    // Second instance is a recurrence: one Head + len-1 Opportunity.
-    assert_eq!(walk.class_codes.iter().filter(|&&c| c == 2).count(), 1);
-    assert_eq!(
-        walk.class_codes.iter().filter(|&&c| c == 3).count(),
-        100_000
-    );
-}
-
-#[test]
-fn top_level_runs_classify_per_terminal() {
-    let g = Grammar::from_rules(vec![vec![Sym::Run(4, 5), Sym::T(1), Sym::Run(2, 0)]]);
-    assert_walk_agrees(&g);
-    assert_eq!(walk_grammar(&g).class_codes, vec![0; 6]);
-}
-
-/// Bursty small-alphabet traces: heavy repetition in default mode, real
-/// `Run` symbols in RLE mode.
+/// Bursty small-alphabet traces: runs and heavy repetition.
 fn bursty_trace() -> impl Strategy<Value = Vec<(u64, usize)>> {
     prop::collection::vec((0u64..5, 1usize..7), 0..120)
 }
@@ -96,33 +42,5 @@ proptest! {
             }
         }
         assert_walk_agrees(&s.into_grammar());
-    }
-
-    #[test]
-    fn walk_count_equals_expansion_rle_mode(bursts in bursty_trace()) {
-        let mut s = Sequitur::new_rle();
-        for &(t, reps) in &bursts {
-            for _ in 0..reps {
-                s.push(t);
-            }
-        }
-        assert_walk_agrees(&s.into_grammar());
-    }
-
-    #[test]
-    fn walk_count_survives_streaming_eviction(
-        bursts in bursty_trace(),
-        budget in 256usize..2048,
-        rle in any::<bool>(),
-    ) {
-        // Snapshots of an evicting builder are exactly the grammars the
-        // prefetcher walks; the agreement must hold for them too.
-        let mut s = tifs_sequitur::StreamingSequitur::new(budget, rle);
-        for &(t, reps) in &bursts {
-            for _ in 0..reps {
-                s.push(t);
-            }
-        }
-        assert_walk_agrees(&s.snapshot());
     }
 }
