@@ -9,10 +9,7 @@
 //! re-running the study under new scenarios or budgets recomputes only
 //! the new cells, and a warm run is all store reads. The canonical
 //! JSON/CSV report lands under `TIFS_RESULTS` (default `results/`) as
-//! `fig_mix`. Cells always run the coupled CMP (see
-//! `figures::fig_mix`): the sharded execution modes simulate private
-//! 1-core systems, dissolving the cross-tenant interference under
-//! study.
+//! `fig_mix`.
 //!
 //! ```sh
 //! cargo run --release -p tifs-experiments --bin mix_study -- \

@@ -24,10 +24,6 @@
 //!   the history ([`system_for`] bounds it to the same per-core entry
 //!   budget the history gets).
 //!
-//! Every cell runs the **coupled CMP** ([`run_mix_cells`] fixes the
-//! mode): per-core sharding would dissolve exactly the cross-tenant
-//! interference under study.
-//!
 //! ## Measured outcome (default grid, 2M/2M instructions, seed 42)
 //!
 //! Pooling wins where per-core demand is *heterogeneous*, and the win

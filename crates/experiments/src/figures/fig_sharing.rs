@@ -12,18 +12,11 @@
 //!   pool (both behind [`SHARED_WAYS`] metadata ports);
 //! * **total budget** — fractions and multiples of the paper's 156 KB;
 //! * **core count** — the same budget stretched across more cores.
-//!
-//! Every cell runs the **coupled CMP** regardless of the process-wide
-//! execution-mode environment: per-core sharding simulates each core
-//! against a private 1-core system, where a shared pool degenerates to
-//! private metadata by construction — exactly the effect under study.
-//! Forcing the mode keeps the cells honest and their report-store
-//! address space stable.
 
 use tifs_core::{entries_per_core_for_kb, ImlStorage, MetadataOrg, TifsConfig};
 use tifs_sim::config::SystemConfig;
 
-use crate::engine::{ExecMode, ExperimentGrid, Lab, SystemSpec};
+use crate::engine::{ExperimentGrid, Lab, SystemSpec};
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
@@ -132,8 +125,7 @@ pub fn run_grid_with_threads(
             .collect();
         let mut grid = ExperimentGrid::new(*lab.exp())
             .with_system_config(sys)
-            .systems(columns.iter().map(|(_, _, s)| s.clone()))
-            .mode(ExecMode::Coupled);
+            .systems(columns.iter().map(|(_, _, s)| s.clone()));
         if let Some(n) = threads {
             grid = grid.threads(n);
         }

@@ -19,9 +19,7 @@
 //! [`engine::Lab::with_store`] caches miss traces on disk and
 //! [`engine::Lab::with_report_store`] caches whole timing-cell
 //! [`SimReport`](tifs_sim::stats::SimReport)s under content-addressed
-//! keys ([`engine::report_key`]), while
-//! [`engine::ExperimentGrid::sharded`] shards a wide cell's cores across
-//! threads with a deterministic, byte-identical merge.
+//! keys ([`engine::report_key`]).
 //!
 //! ```no_run
 //! use tifs_experiments::harness::{run_system, ExpConfig, SystemKind};

@@ -9,16 +9,12 @@
 //! Extending the key schema is allowed only in ways that leave default
 //! and legacy configurations hashing exactly as before: hash a new
 //! field *append-only*, contributing nothing in its default state (the
-//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`, and before
-//! it the `ExecMode` discriminants that still hash as the pre-contention
-//! bool). Update these pins only with a deliberate, store-invalidating
+//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`). Update these
+//! pins only with a deliberate, store-invalidating
 //! key-format bump, and say so in the commit.
 
 use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
-use tifs_experiments::engine::{
-    report_key, report_key_cell, run_cell, run_cell_sharded, run_cell_sharded_contended, ExecMode,
-    SystemSpec,
-};
+use tifs_experiments::engine::{report_key, report_key_cell, run_cell, ExecMode, SystemSpec};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{CellWorkload, Workload, WorkloadSpec};
@@ -35,7 +31,6 @@ struct Pin {
     label: &'static str,
     spec: fn() -> WorkloadSpec,
     system: fn() -> SystemSpec,
-    mode: ExecMode,
     key: u128,
 }
 
@@ -49,58 +44,33 @@ fn ablated() -> SystemSpec {
     )
 }
 
-/// Keys minted by the pre-`MetadataOrg` schema, covering the coupled,
-/// plain-sharded, and contended address spaces over named kinds, an
-/// ablation `TifsConfig`, and a payload-carrying probabilistic kind.
+/// Keys minted by the pre-`MetadataOrg` schema for coupled cells over
+/// named kinds, an ablation `TifsConfig`, and a payload-carrying
+/// probabilistic kind.
 const PINS: &[Pin] = &[
     Pin {
         label: "web_zeus/next-line/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::NextLine),
-        mode: ExecMode::Coupled,
         key: 0x72e4_a7d9_20d0_d473_6157_eec7_af05_aefa,
     },
     Pin {
         label: "web_zeus/tifs-virtualized/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Coupled,
         key: 0x9010_c99d_be23_aa62_33b4_4185_100c_49bf,
-    },
-    Pin {
-        label: "web_zeus/tifs-virtualized/sharded",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Sharded,
-        key: 0x4c97_9b31_2623_aa5c_f272_ee04_4c88_55de,
-    },
-    Pin {
-        label: "web_zeus/tifs-virtualized/contended",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::ShardedContended,
-        key: 0x4dc9_cc3c_6b0a_eb3e_8a2b_d830_b2e0_1abe,
     },
     Pin {
         label: "oltp_db2/ablation-no-eos/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: ablated,
-        mode: ExecMode::Coupled,
         key: 0x1e21_aab5_a427_1e07_8fe0_84d9_5c44_111d,
     },
     Pin {
         label: "oltp_db2/probabilistic-25/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Probabilistic(0.25)),
-        mode: ExecMode::Coupled,
         key: 0x7ca1_48af_c1ac_9eeb_42b6_2641_47c9_dda0,
-    },
-    Pin {
-        label: "tiny_test/tifs-dedicated/sharded",
-        spec: WorkloadSpec::tiny_test,
-        system: || SystemSpec::Kind(SystemKind::TifsDedicated),
-        mode: ExecMode::Sharded,
-        key: 0x4402_97da_a33d_29b1_d27d_10c3_4a95_3b90,
     },
 ];
 
@@ -116,7 +86,7 @@ fn pre_sharing_axis_keys_are_unchanged() {
             &(pin.system)(),
             &exp,
             &sys,
-            pin.mode,
+            ExecMode::Coupled,
         );
         if key.0 != pin.key {
             drifted.push(format!(
@@ -173,8 +143,8 @@ fn explicit_private_org_hashes_as_the_legacy_default() {
 // hashing to the same value, proving the overhaul changed the cost of the
 // simulation and not its content. Budgets are deliberately small so the
 // suite stays cheap in debug runs — every hot structure is still
-// exercised (fill queues, L2 directory, index table, IMLs, SVBs,
-// shared-pool stamps, the sharded merge, and the contention replay).
+// exercised (fill queues, L2 directory, index table, IMLs, SVBs, and
+// shared-pool stamps).
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -248,7 +218,6 @@ struct BytePin {
     spec: fn() -> WorkloadSpec,
     system: fn() -> SystemSpec,
     sys: fn() -> SystemConfig,
-    mode: ExecMode,
     fnv: u64,
 }
 
@@ -258,7 +227,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::NextLine),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x579b_3738_f0ad_862a,
     },
     BytePin {
@@ -266,7 +234,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::Fdip),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x284a_796b_1037_2b65,
     },
     BytePin {
@@ -274,7 +241,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Discontinuity),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0xd504_6722_78ae_138c,
     },
     BytePin {
@@ -282,7 +248,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x8f2d_9eb6_e563_b0bb,
     },
     BytePin {
@@ -290,7 +255,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::dss_qry2,
         system: || SystemSpec::Kind(SystemKind::TifsDedicated),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x2150_c656_ae8c_db92,
     },
     BytePin {
@@ -298,31 +262,13 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsUnbounded),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x4804_4d28_6c8c_1382,
-    },
-    BytePin {
-        label: "web_zeus/tifs-virtualized/sharded",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        sys: SystemConfig::table2,
-        mode: ExecMode::Sharded,
-        fnv: 0x4a8b_c73c_c398_e8a3,
-    },
-    BytePin {
-        label: "web_zeus/tifs-virtualized/contended",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        sys: SystemConfig::table2,
-        mode: ExecMode::ShardedContended,
-        fnv: 0x7c3c_0c23_3f3d_7bd8,
     },
     BytePin {
         label: "oltp_db2/shared-pool/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: shared_pool,
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0xdd78_27cb_7370_15e8,
     },
     // Rows below were captured before the wake-gated TIFS tick and the
@@ -334,7 +280,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: web_zeus_switching,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x77b2_419e_1bc2_9a20,
     },
     BytePin {
@@ -342,7 +287,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::dss_qry2,
         system: shared_quota_1port,
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0xfe3a_bae6_bdef_eeb4,
     },
     BytePin {
@@ -350,7 +294,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::web_zeus,
         system: shared_pool_2port_small,
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0xe31d_0199_0e0e_0126,
     },
     BytePin {
@@ -358,7 +301,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Fdip),
         sys: SystemConfig::table2,
-        mode: ExecMode::Coupled,
         fnv: 0x2db5_1d67_aa10_d98e,
     },
     BytePin {
@@ -366,7 +308,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
         sys: few_mshrs,
-        mode: ExecMode::Coupled,
         fnv: 0x1906_70f8_7996_b3f9,
     },
     BytePin {
@@ -374,7 +315,6 @@ const BYTE_PINS: &[BytePin] = &[
         spec: web_zeus_switching,
         system: || SystemSpec::Kind(SystemKind::Fdip),
         sys: few_mshrs,
-        mode: ExecMode::Coupled,
         fnv: 0x7e47_6668_e9ef_3893,
     },
 ];
@@ -387,13 +327,7 @@ fn pre_overhaul_report_bytes_are_unchanged() {
         let workload = Workload::build(&(pin.spec)(), exp.seed);
         let system = (pin.system)();
         let sys = (pin.sys)();
-        let report = match pin.mode {
-            ExecMode::Coupled => run_cell(&workload, &system, &exp, &sys),
-            ExecMode::Sharded => run_cell_sharded(&workload, &system, &exp, &sys, 2),
-            ExecMode::ShardedContended => {
-                run_cell_sharded_contended(&workload, &system, &exp, &sys, 2)
-            }
-        };
+        let report = run_cell(&workload, &system, &exp, &sys);
         let fnv = fnv64(&report.to_canonical_bytes());
         if fnv != pin.fnv {
             drifted.push(format!(
@@ -452,7 +386,14 @@ fn mix_cells_address_disjoint_content_and_degenerate_mixes_hash_as_pins() {
     for pin in PINS {
         for copies in [1usize, 2, 4] {
             let cell = CellWorkload::Mix(vec![(pin.spec)(); copies]);
-            let key = report_key_cell(&cell, exp.seed, &(pin.system)(), &exp, &sys, pin.mode);
+            let key = report_key_cell(
+                &cell,
+                exp.seed,
+                &(pin.system)(),
+                &exp,
+                &sys,
+                ExecMode::Coupled,
+            );
             assert_eq!(
                 key.0, pin.key,
                 "{copies}-copy degenerate mix drifted from pin {}",
@@ -513,26 +454,20 @@ fn shared_orgs_address_disjoint_content_from_every_pin() {
                 ..TifsConfig::virtualized()
             },
         );
-        for mode in [
+        let key = report_key(
+            &WorkloadSpec::web_zeus(),
+            exp.seed,
+            &shared,
+            &exp,
+            &sys,
             ExecMode::Coupled,
-            ExecMode::Sharded,
-            ExecMode::ShardedContended,
-        ] {
-            let key = report_key(
-                &WorkloadSpec::web_zeus(),
-                exp.seed,
-                &shared,
-                &exp,
-                &sys,
-                mode,
+        );
+        for pin in PINS {
+            assert_ne!(
+                key.0, pin.key,
+                "{org:?} must not collide with pin {}",
+                pin.label
             );
-            for pin in PINS {
-                assert_ne!(
-                    key.0, pin.key,
-                    "{org:?}/{mode:?} must not collide with pin {}",
-                    pin.label
-                );
-            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Sharing-equivalence properties: the degenerate corners of the
 //! metadata-sharing axis are *byte-identical* to the paper's private
-//! organization, across workload specs, seeds, core counts, budgets,
-//! and execution modes.
+//! organization, across workload specs, seeds, core counts, and
+//! budgets.
 //!
 //! Two degeneracies must hold exactly (they are what makes every future
 //! sharing variant honest — a shared organization that cannot reproduce
@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
-use tifs_experiments::engine::{run_cell, run_cell_sharded, SystemSpec};
+use tifs_experiments::engine::{run_cell, SystemSpec};
 use tifs_experiments::harness::ExpConfig;
 use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{Workload, WorkloadSpec};
@@ -69,7 +69,6 @@ fn run_pair(
     warmup: u64,
     storage: ImlStorage,
     org: MetadataOrg,
-    sharded: bool,
 ) -> (Vec<u8>, Vec<u8>) {
     run_pair_spec(
         &WorkloadSpec::tiny_test(),
@@ -79,11 +78,9 @@ fn run_pair(
         warmup,
         storage,
         org,
-        sharded,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_pair_spec(
     spec: &WorkloadSpec,
     seed: u64,
@@ -92,7 +89,6 @@ fn run_pair_spec(
     warmup: u64,
     storage: ImlStorage,
     org: MetadataOrg,
-    sharded: bool,
 ) -> (Vec<u8>, Vec<u8>) {
     let workload = Workload::build(spec, seed);
     let exp = ExpConfig {
@@ -103,17 +99,8 @@ fn run_pair_spec(
     let sys = cmp_sys(cores);
     let private = tifs_with(MetadataOrg::PrivatePerCore, storage);
     let shared = tifs_with(org, storage);
-    let (a, b) = if sharded {
-        (
-            run_cell_sharded(&workload, &private, &exp, &sys, 2),
-            run_cell_sharded(&workload, &shared, &exp, &sys, 2),
-        )
-    } else {
-        (
-            run_cell(&workload, &private, &exp, &sys),
-            run_cell(&workload, &shared, &exp, &sys),
-        )
-    };
+    let a = run_cell(&workload, &private, &exp, &sys);
+    let b = run_cell(&workload, &shared, &exp, &sys);
     (a.to_canonical_bytes(), b.to_canonical_bytes())
 }
 
@@ -133,7 +120,6 @@ proptest! {
             warmup,
             storage_of(storage_choice),
             MetadataOrg::shared_quota(0),
-            false,
         );
         prop_assert_eq!(
             private.len(), shared.len(),
@@ -167,7 +153,6 @@ proptest! {
             warmup,
             storage_of(storage_choice),
             org,
-            false,
         );
         prop_assert!(
             private == shared,
@@ -214,7 +199,6 @@ proptest! {
             warmup,
             storage_of(storage_choice),
             org,
-            false,
         );
         prop_assert!(
             private == shared,
@@ -224,31 +208,6 @@ proptest! {
         );
     }
 
-    #[test]
-    fn sharded_execution_degenerates_shared_quota_to_private(
-        seed in 0u64..10_000,
-        cores in 2usize..=3,
-        instructions in 1_000u64..2_500,
-        ways in 0usize..=2,
-    ) {
-        // Per-core sharding simulates 1-core systems, where quota
-        // sharing is private at any port count: the mode and the axis
-        // must agree about that degeneracy.
-        let (private, shared) = run_pair(
-            seed,
-            cores,
-            instructions,
-            0,
-            ImlStorage::Virtualized { entries_per_core: 96 },
-            MetadataOrg::shared_quota(ways),
-            true,
-        );
-        prop_assert!(
-            private == shared,
-            "sharded Shared{{quota, w{}}} must be byte-identical to \
-             sharded private at {} cores (seed {})", ways, cores, seed
-        );
-    }
 }
 
 /// The degeneracies hold on a real Table I workload at a budget and

@@ -2,10 +2,9 @@
 //!
 //! The on-disk formats are guarded by version constants: a `SimReport`
 //! blob is only readable if the struct layout matches what
-//! `SIM_REPORT_LAYOUT_VERSION` promised when it was written, the miss
-//! trace and report files carry `TIFM`/`TIFR` magic + version headers,
-//! and the experiment cache keys fold in `CONTENTION_MODEL_VERSION`.
-//! Every PR since PR 3 has verified the bump-the-version-when-the-
+//! `SIM_REPORT_LAYOUT_VERSION` promised when it was written, and the
+//! miss trace and report files carry `TIFM`/`TIFR` magic + version
+//! headers. Every PR since PR 3 has verified the bump-the-version-when-the-
 //! layout-changes discipline by hand; this pass mechanizes it.
 //!
 //! [`generate_lock`] derives a structural fingerprint — the field list
@@ -96,21 +95,15 @@ const TARGETS: &[Target] = &[
         "SimReport",
         &[
             "SIM_REPORT_LAYOUT_VERSION",
-            "SIM_REPORT_EVENT_LAYOUT_VERSION",
             "SIM_REPORT_FLUSH_LAYOUT_VERSION",
         ],
     ),
     ct("crates/sim/src/stats.rs", "SIM_REPORT_LAYOUT_VERSION"),
-    ct("crates/sim/src/stats.rs", "SIM_REPORT_EVENT_LAYOUT_VERSION"),
     ct("crates/sim/src/stats.rs", "SIM_REPORT_FLUSH_LAYOUT_VERSION"),
     st(
         "crates/sim/src/l2.rs",
         "L2Stats",
         &["SIM_REPORT_LAYOUT_VERSION"],
-    ),
-    ct(
-        "crates/experiments/src/engine.rs",
-        "CONTENTION_MODEL_VERSION",
     ),
     ct("crates/trace/src/codec.rs", "MAGIC"),
     ct("crates/trace/src/codec.rs", "VERSION"),

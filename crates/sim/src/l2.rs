@@ -49,8 +49,8 @@ impl L2ReqKind {
         L2ReqKind::ImlWrite,
     ];
 
-    /// Stable position of this kind in [`ALL`](Self::ALL) (the accounting
-    /// slot and the canonical event-encoding tag).
+    /// Stable position of this kind in [`ALL`](Self::ALL) (its
+    /// accounting slot).
     pub fn index(self) -> usize {
         match self {
             L2ReqKind::IFetch => 0,
@@ -60,11 +60,6 @@ impl L2ReqKind {
             L2ReqKind::ImlRead => 4,
             L2ReqKind::ImlWrite => 5,
         }
-    }
-
-    /// Kind at position `i` of [`ALL`](Self::ALL), if valid.
-    pub fn from_index(i: usize) -> Option<L2ReqKind> {
-        Self::ALL.get(i).copied()
     }
 
     /// Display name.
@@ -87,90 +82,6 @@ pub struct L2Response {
     pub ready: u64,
     /// Whether the access hit in L2.
     pub hit: bool,
-}
-
-/// One recorded L2 access for post-hoc contention reconstruction: the
-/// *intrinsic* issue cycle (when the requester presented the access,
-/// before any bank queueing), the block (which determines the bank), the
-/// traffic kind, and whether the access went to memory. Recording is off
-/// by default ([`L2::set_record_events`]); the contention-aware sharded
-/// execution mode records each shard's timeline and replays the merged
-/// timelines through a shared [`ChannelModel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct L2Event {
-    /// Issue cycle, relative to the current measurement epoch.
-    pub issue: u64,
-    /// Accessed block (bank = block mod bank count).
-    pub block: BlockAddr,
-    /// Traffic kind.
-    pub kind: L2ReqKind,
-    /// Whether the access hit (misses occupy the memory channel).
-    pub hit: bool,
-}
-
-/// Per-event delay breakdown computed by [`ChannelModel::issue`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelDelay {
-    /// Cycles spent queueing for the bank.
-    pub queue: u64,
-    /// Cycles spent waiting for the memory channel (misses only).
-    pub mem_wait: u64,
-}
-
-impl ChannelDelay {
-    /// Total channel-imposed delay of the event.
-    pub fn total(&self) -> u64 {
-        self.queue + self.mem_wait
-    }
-}
-
-/// The bank-occupancy / memory-channel half of the L2 timing model,
-/// replayable over recorded [`L2Event`] timelines. [`issue`]
-/// (ChannelModel::issue) applies exactly the arithmetic [`L2::request`]
-/// applies to a live access — same bank mapping, same occupancy window,
-/// same `mem_gap` single-channel spacing — so replaying one shard's own
-/// timeline reproduces the delays that shard observed, and replaying the
-/// *merged* timelines of several shards reconstructs the queueing they
-/// would have inflicted on each other behind one shared L2.
-#[derive(Clone, Debug)]
-pub struct ChannelModel {
-    banks_free: Vec<u64>,
-    mem_next_free: u64,
-    occupancy: u64,
-    latency: u64,
-    mem_gap: u64,
-}
-
-impl ChannelModel {
-    /// Builds the channel model from a system configuration.
-    pub fn new(cfg: &SystemConfig) -> ChannelModel {
-        ChannelModel {
-            banks_free: vec![0; cfg.l2_banks],
-            mem_next_free: 0,
-            occupancy: cfg.l2_bank_occupancy,
-            latency: cfg.l2_latency,
-            mem_gap: cfg.mem_gap,
-        }
-    }
-
-    /// Schedules one event on the shared channel and returns the delay it
-    /// experiences. Events must be presented in nondecreasing `issue`
-    /// order per originating shard (the order [`L2`] recorded them).
-    pub fn issue(&mut self, e: &L2Event) -> ChannelDelay {
-        let bank = (e.block.0 % self.banks_free.len() as u64) as usize;
-        let start = e.issue.max(self.banks_free[bank]);
-        let queue = start - e.issue;
-        self.banks_free[bank] = start + self.occupancy;
-        let mem_wait = if e.hit {
-            0
-        } else {
-            let at_mem = start + self.latency;
-            let mem_start = at_mem.max(self.mem_next_free);
-            self.mem_next_free = mem_start + self.mem_gap;
-            mem_start - at_mem
-        };
-        ChannelDelay { queue, mem_wait }
-    }
 }
 
 /// Aggregate L2 statistics.
@@ -226,10 +137,6 @@ pub struct L2 {
     evictions: Vec<BlockAddr>,
     cfg: L2Config,
     stats: L2Stats,
-    record_events: bool,
-    events: Vec<L2Event>,
-    event_epoch: u64,
-    warm_blocks: Vec<BlockAddr>,
 }
 
 #[derive(Clone, Debug)]
@@ -263,32 +170,7 @@ impl L2 {
                 tag_backlog_limit: 32,
             },
             stats: L2Stats::default(),
-            record_events: false,
-            events: Vec::new(),
-            event_epoch: 0,
-            warm_blocks: Vec::new(),
         }
-    }
-
-    /// Enables or disables event recording: with recording on, every
-    /// accepted request appends an [`L2Event`] (epoch-relative issue
-    /// cycle, block, kind, hit) for post-hoc contention reconstruction.
-    pub fn set_record_events(&mut self, on: bool) {
-        self.record_events = on;
-    }
-
-    /// The events recorded since the last epoch reset.
-    pub fn events(&self) -> &[L2Event] {
-        &self.events
-    }
-
-    /// The instruction blocks that were resident in the directory at the
-    /// last epoch reset, sorted (recorded only while event recording is
-    /// on). The contention convolution unions these warm sets across
-    /// shards: a block any shard warmed is warm for every core of the
-    /// reconstructed shared L2.
-    pub fn warm_blocks(&self) -> &[BlockAddr] {
-        &self.warm_blocks
     }
 
     #[inline]
@@ -371,14 +253,6 @@ impl L2 {
             mem_start + self.cfg.mem_latency
         };
         self.inflight.push(ready);
-        if self.record_events {
-            self.events.push(L2Event {
-                issue: now - self.event_epoch,
-                block,
-                kind,
-                hit,
-            });
-        }
         Some(L2Response { ready, hit })
     }
 
@@ -420,18 +294,10 @@ impl L2 {
         &self.stats
     }
 
-    /// Zeroes statistics and recorded events, preserving directory
-    /// contents and timing state (used to discard warmup from
-    /// measurements). `now` begins the new measurement epoch that recorded
-    /// event issue cycles are relative to. With event recording on, the
-    /// directory's contents are snapshotted as the epoch's warm set.
-    pub fn reset_stats(&mut self, now: u64) {
+    /// Zeroes statistics, preserving directory contents and timing state
+    /// (used to discard warmup from measurements).
+    pub fn reset_stats(&mut self) {
         self.stats = L2Stats::default();
-        self.events.clear();
-        self.event_epoch = now;
-        if self.record_events {
-            self.warm_blocks = self.directory.resident_blocks();
-        }
     }
 }
 
@@ -541,85 +407,6 @@ mod tests {
         );
         // Pressure clears with time.
         assert!(c.tag_update(1_000_000, BlockAddr(0)));
-    }
-
-    #[test]
-    fn event_recording_and_channel_replay_agree_with_live_timing() {
-        // The ChannelModel must apply exactly the arithmetic `request`
-        // applies: replaying a recorded timeline through a fresh model
-        // reproduces every response cycle and the total queueing delay.
-        let cfg = SystemConfig::table2();
-        let mut c = L2::new(&cfg);
-        c.set_record_events(true);
-        let mut responses = Vec::new();
-        let mut now = 0;
-        for i in 0..200u64 {
-            if i % 4 == 0 {
-                now += 3; // cluster issues: bank conflicts + memory spacing
-            }
-            let kind = match i % 3 {
-                0 => L2ReqKind::IFetch,
-                1 => L2ReqKind::Data,
-                _ => L2ReqKind::ImlRead,
-            };
-            let forced = (kind == L2ReqKind::Data).then_some(i % 5 != 0);
-            if let Some(r) = c.request(now, BlockAddr(i * 7), kind, forced) {
-                responses.push((now, r));
-            }
-        }
-        let events = c.events().to_vec();
-        assert_eq!(
-            events.len(),
-            responses.len(),
-            "one event per accepted request"
-        );
-        assert!(events.iter().any(|e| !e.hit), "mix must include misses");
-        let mut model = ChannelModel::new(&cfg);
-        let mut queue_total = 0;
-        for (e, (issued, resp)) in events.iter().zip(&responses) {
-            assert_eq!(e.issue, *issued);
-            assert_eq!(e.hit, resp.hit);
-            let d = model.issue(e);
-            queue_total += d.queue;
-            let expect_ready = e.issue
-                + d.queue
-                + cfg.l2_latency
-                + if e.hit {
-                    0
-                } else {
-                    d.mem_wait + cfg.mem_latency
-                };
-            assert_eq!(resp.ready, expect_ready, "replay diverged at {e:?}");
-        }
-        assert_eq!(queue_total, c.stats().queue_delay);
-        assert_eq!(
-            events.iter().filter(|e| !e.hit).count() as u64,
-            c.stats().mem_transfers
-        );
-    }
-
-    #[test]
-    fn reset_clears_events_and_rebases_epoch() {
-        let mut c = l2();
-        c.set_record_events(true);
-        c.request(5, BlockAddr(1), L2ReqKind::IFetch, None);
-        assert_eq!(c.events().len(), 1);
-        assert_eq!(c.events()[0].issue, 5);
-        c.reset_stats(100);
-        assert!(c.events().is_empty(), "reset discards warmup events");
-        c.request(150, BlockAddr(2), L2ReqKind::IFetch, None);
-        assert_eq!(
-            c.events()[0].issue,
-            50,
-            "issue cycles are epoch-relative after reset"
-        );
-    }
-
-    #[test]
-    fn recording_off_by_default() {
-        let mut c = l2();
-        c.request(0, BlockAddr(1), L2ReqKind::IFetch, None);
-        assert!(c.events().is_empty());
     }
 
     #[test]

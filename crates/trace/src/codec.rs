@@ -432,10 +432,9 @@ pub const REPORT_MAGIC: [u8; 4] = *b"TIFR";
 /// or the canonical `SimReport` payload encoding changes *incompatibly*:
 /// stale entries then fail loudly with [`CodecError::BadVersion`] and
 /// are evicted, never misdecoded. Backward-compatible payload growth
-/// does not bump it — the payload's trailing L2-event section carries
-/// its own version tag (`SIM_REPORT_EVENT_LAYOUT_VERSION` in
-/// `tifs_sim::stats`) and is hashed into the keys of the execution mode
-/// that produces it, so layout-1 entries stay decodable and warm.
+/// does not bump it — the payload's trailing sections carry their own
+/// version tags (`SIM_REPORT_FLUSH_LAYOUT_VERSION` in `tifs_sim::stats`),
+/// so layout-1 entries stay decodable and warm.
 pub const REPORT_VERSION: u32 = 1;
 
 /// Writes an opaque report payload as one store entry owned by the key

@@ -247,7 +247,7 @@ impl TraceKey {
 /// experiment engine from a [`Fingerprint`] over the *full* cell
 /// configuration: workload spec, seed, instruction and warmup budgets,
 /// every CMP parameter, the prefetcher configuration, the execution mode
-/// (coupled vs. core-sharded), and the report format version.
+/// tag, and the report format version.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ReportKey(pub u128);
 
