@@ -6,8 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use tifs_experiments::engine::run_cell;
 use tifs_experiments::figures::{fig01, fig03, fig05, fig06, fig10, fig11, fig12, fig13, tables};
-use tifs_experiments::harness::{run_system, ExpConfig, SystemKind};
+use tifs_experiments::harness::{ExpConfig, SystemKind};
+use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{Workload, WorkloadSpec};
 
 /// Reduced-scale configuration: one short window, enough to exercise every
@@ -32,10 +34,11 @@ fn bench_fig01_kernel(c: &mut Criterion) {
     // Kernel: one probabilistic-coverage timing point.
     let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
     let cfg = small();
+    let system = SystemKind::Probabilistic(0.5).into();
     let mut g = c.benchmark_group("fig01");
     g.sample_size(10);
     g.bench_function("one_coverage_point", |b| {
-        b.iter(|| run_system(&w, SystemKind::Probabilistic(0.5), &cfg).aggregate_ipc())
+        b.iter(|| run_cell(&w, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
     });
     g.finish();
 }
@@ -66,7 +69,8 @@ fn bench_timing_studies(c: &mut Criterion) {
     g.bench_function("fig13_one_workload_tifs", |b| {
         // Kernel of Figure 13: one TIFS timing run.
         let w = Workload::build(&WorkloadSpec::oltp_db2(), 42);
-        b.iter(|| run_system(&w, SystemKind::TifsVirtualized, &cfg).aggregate_ipc())
+        let system = SystemKind::TifsVirtualized.into();
+        b.iter(|| run_cell(&w, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
     });
     g.finish();
 }

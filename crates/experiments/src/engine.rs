@@ -1174,6 +1174,15 @@ mod tests {
     }
 
     #[test]
+    fn run_cell_produces_report() {
+        let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
+        let sys = SystemConfig::single_core();
+        let r = run_cell(&w, &SystemKind::NextLine.into(), &tiny_exp(), &sys);
+        assert_eq!(r.total_retired(), tiny_exp().instructions);
+        assert!(r.aggregate_ipc() > 0.0);
+    }
+
+    #[test]
     fn par_map_matches_serial_and_preserves_order() {
         let items: Vec<u64> = (0..97).collect();
         let serial = par::map(&items, 1, |i, &x| x * 3 + i as u64);

@@ -1,15 +1,11 @@
-//! Experiment parameters, the system taxonomy, the trace analyses'
-//! functional walk ([`walk_core`]), and thin compatibility wrappers over
-//! the [`engine`](crate::engine) — which owns system construction, stream
-//! building, and parallel execution.
+//! Experiment parameters, the system taxonomy, and the trace analyses'
+//! functional walk ([`walk_core`]). The [`engine`](crate::engine) owns
+//! system construction, stream building, and parallel execution.
 
 use tifs_sim::config::SystemConfig;
 use tifs_sim::miss_trace::FunctionalFetchModel;
-use tifs_sim::stats::SimReport;
 use tifs_trace::workload::Workload;
 use tifs_trace::{BlockAddr, BranchKind};
-
-use crate::engine;
 
 /// Common experiment parameters (overridable from the command line).
 #[derive(Clone, Copy, Debug)]
@@ -134,23 +130,6 @@ impl SystemKind {
     }
 }
 
-/// Runs one system on one workload with the paper's Table II CMP,
-/// returning the measured-phase report.
-pub fn run_system(workload: &Workload, kind: SystemKind, cfg: &ExpConfig) -> SimReport {
-    run_system_with(workload, kind, cfg, &SystemConfig::table2())
-}
-
-/// As [`run_system`], with an explicit system configuration. Delegates to
-/// [`engine::run_cell`], the experiments crate's single cell runner.
-pub fn run_system_with(
-    workload: &Workload,
-    kind: SystemKind,
-    cfg: &ExpConfig,
-    sys: &SystemConfig,
-) -> SimReport {
-    engine::run_cell(workload, &engine::SystemSpec::Kind(kind), cfg, sys)
-}
-
 /// One core's functional-model pass for the trace analyses.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreWalk {
@@ -163,8 +142,9 @@ pub struct CoreWalk {
 
 /// Walks the first `instructions` of core `core` through the Table II
 /// functional fetch model, recording its misses and their lookahead
-/// marks in one pass. [`engine::Lab::miss_traces`] walks every analysis
-/// core with it, and Figure 10 reuses core 0's marks from that pass.
+/// marks in one pass. [`Lab::miss_traces`](crate::engine::Lab::miss_traces)
+/// walks every analysis core with it, and Figure 10 reuses core 0's
+/// marks from that pass.
 pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWalk {
     let mut model = FunctionalFetchModel::new(&SystemConfig::table2());
     let mut walk = CoreWalk::default();
@@ -197,20 +177,6 @@ mod tests {
     use super::*;
     use crate::engine::{build_prefetcher, SystemSpec};
     use tifs_trace::workload::WorkloadSpec;
-
-    #[test]
-    fn run_system_produces_report() {
-        let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let cfg = ExpConfig {
-            instructions: 5_000,
-            warmup: 5_000,
-            seed: 3,
-        };
-        let sys = SystemConfig::single_core();
-        let r = run_system_with(&w, SystemKind::NextLine, &cfg, &sys);
-        assert_eq!(r.total_retired(), 5_000);
-        assert!(r.aggregate_ipc() > 0.0);
-    }
 
     #[test]
     fn all_system_kinds_build() {

@@ -9,8 +9,8 @@
 //! each workload once, fans cells out across threads, and returns keyed
 //! reports, plus an [`engine::Lab`] of shared workloads and cached miss
 //! traces for the SEQUITUR analyses. [`harness`] keeps the experiment
-//! parameters, the [`harness::SystemKind`] taxonomy, and compatibility
-//! wrappers; [`report`] renders tables and fits; [`sink`] serializes
+//! parameters, the [`harness::SystemKind`] taxonomy, and the trace
+//! analyses' functional walk; [`report`] renders tables and fits; [`sink`] serializes
 //! every driver's results as canonical, diffable JSON/CSV reports under
 //! `results/`; [`calibration`] holds the Table I target bands shared by
 //! the `calibrate` binary (nonzero exit on drift) and the
@@ -22,13 +22,16 @@
 //! keys ([`engine::report_key`]).
 //!
 //! ```no_run
-//! use tifs_experiments::harness::{run_system, ExpConfig, SystemKind};
+//! use tifs_experiments::engine::run_cell;
+//! use tifs_experiments::harness::{ExpConfig, SystemKind};
+//! use tifs_sim::config::SystemConfig;
 //! use tifs_trace::workload::{Workload, WorkloadSpec};
 //!
 //! let cfg = ExpConfig::default();
+//! let sys = SystemConfig::table2();
 //! let w = Workload::build(&WorkloadSpec::oltp_oracle(), cfg.seed);
-//! let base = run_system(&w, SystemKind::NextLine, &cfg);
-//! let tifs = run_system(&w, SystemKind::TifsVirtualized, &cfg);
+//! let base = run_cell(&w, &SystemKind::NextLine.into(), &cfg, &sys);
+//! let tifs = run_cell(&w, &SystemKind::TifsVirtualized.into(), &cfg, &sys);
 //! println!("speedup {:.3}", tifs.aggregate_ipc() / base.aggregate_ipc());
 //! ```
 
@@ -41,6 +44,6 @@ pub mod harness;
 pub mod report;
 pub mod sink;
 
-pub use engine::{ExperimentGrid, GridResults, Lab, SystemSpec};
-pub use harness::{run_system, to_symbol_traces, walk_core, ExpConfig, SystemKind};
+pub use engine::{run_cell, ExperimentGrid, GridResults, Lab, SystemSpec};
+pub use harness::{to_symbol_traces, walk_core, ExpConfig, SystemKind};
 pub use sink::{ResultsSink, StructuredReport};

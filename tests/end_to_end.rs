@@ -3,7 +3,8 @@
 //! analyses).
 
 use tifs::core::{TifsConfig, TifsPrefetcher};
-use tifs::experiments::harness::{run_system_with, ExpConfig, SystemKind};
+use tifs::experiments::engine::run_cell;
+use tifs::experiments::harness::{ExpConfig, SystemKind};
 use tifs::sim::cmp::Cmp;
 use tifs::sim::config::SystemConfig;
 use tifs::sim::prefetch::IPrefetcher;
@@ -21,7 +22,7 @@ fn cfg_small() -> ExpConfig {
 /// Runs a system on Web-Zeus, single core (fast, still misses plenty).
 fn run(kind: SystemKind) -> tifs::sim::stats::SimReport {
     let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
-    run_system_with(&w, kind, &cfg_small(), &SystemConfig::single_core())
+    run_cell(&w, &kind.into(), &cfg_small(), &SystemConfig::single_core())
 }
 
 #[test]
@@ -67,9 +68,9 @@ fn tifs_beats_fdip_on_oltp() {
         seed: 42,
     };
     let sys = SystemConfig::table2();
-    let base = run_system_with(&w, SystemKind::NextLine, &cfg, &sys);
-    let fdip = run_system_with(&w, SystemKind::Fdip, &cfg, &sys);
-    let tifs = run_system_with(&w, SystemKind::TifsVirtualized, &cfg, &sys);
+    let base = run_cell(&w, &SystemKind::NextLine.into(), &cfg, &sys);
+    let fdip = run_cell(&w, &SystemKind::Fdip.into(), &cfg, &sys);
+    let tifs = run_cell(&w, &SystemKind::TifsVirtualized.into(), &cfg, &sys);
     let sf = fdip.aggregate_ipc() / base.aggregate_ipc();
     let st = tifs.aggregate_ipc() / base.aggregate_ipc();
     assert!(
