@@ -68,10 +68,11 @@ use tifs_trace::{BlockAddr, FetchRecord};
 
 use crate::harness::{walk_core, ExpConfig, SystemKind};
 
-/// How a grid cell is executed. The coupled CMP is the only mode; the
-/// enum survives because the mode tag is part of every [`report_key`]
-/// (it hashes as 0, as it always has) and external callers still pass
-/// it. Tags 1 and 2 belonged to the retired per-core sharded and
+/// How a grid cell is executed. The coupled CMP is the only mode. The
+/// enum survives because the benchmark's traced binary
+/// (`perfbench-trace`) passes it to [`report_key`] and
+/// [`report_key_cell`]; its tag still hashes as 0, so no key moved. Tags
+/// 1 and 2 belonged to the retired per-core sharded and
 /// contention-convolved modes and must not be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {

@@ -3,7 +3,7 @@
 //!
 //! Iteration order of the std hash tables is seeded per-process, so any
 //! result that depends on it (report counters, grammar rule order,
-//! merged warm sets) silently varies run to run — the class of bug PR 1
+//! fill drain order) silently varies run to run — the class of bug PR 1
 //! fixed four times. Covered crates must iterate `BlockMap` /
 //! `DigramIndex` / sorted structures instead, or sort before iterating
 //! and say so in an `allow` annotation.

@@ -284,9 +284,8 @@ impl SimReport {
         }
         // Layout-1 payloads end here; extended payloads continue with
         // versioned trailing sections in strictly increasing tag order,
-        // each present at most once. The flush section is the only one
-        // left: tag 2 (the retired L2 event section) is rejected like any
-        // unknown tag.
+        // each present at most once. Tag 2, the retired L2 event section,
+        // is rejected like any unknown tag.
         let mut last_section = 0u64;
         while cur.pos != bytes.len() {
             let section = cur.u64()?;
