@@ -9,9 +9,9 @@
 //! Extending the key schema is allowed only in ways that leave default
 //! and legacy configurations hashing exactly as before: hash a new
 //! field *append-only*, contributing nothing in its default state (the
-//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`). Update these
-//! pins only with a deliberate, store-invalidating
-//! key-format bump, and say so in the commit.
+//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`). Update
+//! these pins only with a deliberate, store-invalidating key-format
+//! bump, and say so in the commit.
 
 use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
 use tifs_experiments::engine::{report_key, report_key_cell, run_cell, ExecMode, SystemSpec};

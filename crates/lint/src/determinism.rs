@@ -3,10 +3,10 @@
 //!
 //! Iteration order of the std hash tables is seeded per-process, so any
 //! result that depends on it (report counters, grammar rule order,
-//! fill drain order) silently varies run to run — the class of bug PR 1
-//! fixed four times. Covered crates must iterate `BlockMap` /
-//! `DigramIndex` / sorted structures instead, or sort before iterating
-//! and say so in an `allow` annotation.
+//! fill drain order) silently varies run to run — a class of bug the
+//! workspace's bootstrap commit fixed four times. Covered crates must
+//! iterate `BlockMap` / `DigramIndex` / sorted structures instead, or
+//! sort before iterating and say so in an `allow` annotation.
 //!
 //! The pass is lexical and file-local, tuned to this repo's idiom: it
 //! first registers every identifier the file binds to a `HashMap` /

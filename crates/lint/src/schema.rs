@@ -4,8 +4,9 @@
 //! blob is only readable if the struct layout matches what
 //! `SIM_REPORT_LAYOUT_VERSION` promised when it was written, and the
 //! miss trace and report files carry `TIFM`/`TIFR` magic + version
-//! headers. Every PR since PR 3 has verified the bump-the-version-when-the-
-//! layout-changes discipline by hand; this pass mechanizes it.
+//! headers. Every codec change since the report store landed verified
+//! the bump-the-version-when-the-layout-changes discipline by hand;
+//! this pass mechanizes it.
 //!
 //! [`generate_lock`] derives a structural fingerprint — the field list
 //! of each versioned struct and the value of each version/magic
