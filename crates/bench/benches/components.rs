@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use tifs_bench::{bench_records, bench_symbols, bench_symbols_large, bench_workload};
 use tifs_core::iml::{Iml, ENTRIES_PER_L2_BLOCK};
 use tifs_core::{FunctionalConfig, FunctionalTifs};
+use tifs_experiments::harness::walk_core;
 use tifs_sequitur::{LceIndex, Sequitur};
 use tifs_sim::bpred::HybridPredictor;
 use tifs_sim::cache::SetAssocCache;
@@ -171,6 +172,15 @@ fn bench_walker(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             w.walker(seed as usize % 4).take(100_000).count()
+        })
+    });
+    // The trace analyses' functional pass: runs of plain ops through the
+    // Table II L1-I model, with Figure 10's marks.
+    g.bench_function("functional_walk_100k", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            walk_core(&w, seed as usize % 4, 100_000).misses.len()
         })
     });
     g.finish();

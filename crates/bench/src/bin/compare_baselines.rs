@@ -18,8 +18,9 @@
 //! benchmark in a baseline, the fresh run must contain the same id (a
 //! silently dropped bench would otherwise retire its own gate) and its
 //! median must not exceed the baseline median by more than the
-//! tolerance (`--tol`, default 0.10 = +10%). Improvements and brand-new
-//! benchmarks pass — refresh the baselines to capture them.
+//! tolerance (`--tol`, default 0.10 = +10%). Improvements pass, and
+//! brand-new benchmarks are listed as not gated — refresh the baselines
+//! to capture them.
 //!
 //! Scheduler noise is one-sided — it only ever makes a benchmark look
 //! slower — and its relative size shrinks with runtime. Two defenses:
@@ -212,6 +213,16 @@ fn main() -> ExitCode {
                 fresh_median / 1e6,
                 (ratio - 1.0) * 100.0
             );
+        }
+        for (id, fresh_median) in &new {
+            if !base.iter().any(|(i, _)| i == id) {
+                println!(
+                    "  {id:<40} {:>12}   -> {:>12.3}ms  {:>8}  no baseline (not gated)",
+                    "",
+                    fresh_median / 1e6,
+                    ""
+                );
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 
 use tifs_sim::config::SystemConfig;
 use tifs_sim::miss_trace::FunctionalFetchModel;
+use tifs_trace::exec::Step;
 use tifs_trace::workload::Workload;
 use tifs_trace::{BlockAddr, BranchKind};
 
@@ -144,20 +145,25 @@ pub struct CoreWalk {
 /// functional fetch model, recording its misses and their lookahead
 /// marks in one pass. [`Lab::miss_traces`](crate::engine::Lab::miss_traces)
 /// walks every analysis core with it, and Figure 10 reuses core 0's
-/// marks from that pass.
+/// marks from that pass. The walk takes runs of plain ops whole
+/// ([`Walker::step`](tifs_trace::exec::Walker::step)); its misses and
+/// marks are those of the same walk one record at a time.
 pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWalk {
     let mut model = FunctionalFetchModel::new(&SystemConfig::table2());
     let mut walk = CoreWalk::default();
     let mut branches: u64 = 0;
-    for rec in workload.walker(core).take(instructions as usize) {
-        if let Some(block) = model.access_pc(rec.pc) {
+    let mut walker = workload.walker(core);
+    while walker.instructions() < instructions {
+        let (pc, len, branch) = match walker.step(instructions - walker.instructions()) {
+            Step::Run { pc, len } => (pc, len, None),
+            Step::Instr(rec) => (rec.pc, 1, rec.branch),
+        };
+        model.access_run(pc, len, |block| {
             walk.misses.push(block);
             walk.marks.push(branches);
-        }
-        if let Some(b) = rec.branch {
-            if b.kind == BranchKind::Conditional && !b.inner_loop {
-                branches += 1;
-            }
+        });
+        if matches!(branch, Some(b) if b.kind == BranchKind::Conditional && !b.inner_loop) {
+            branches += 1;
         }
     }
     walk
@@ -197,20 +203,52 @@ mod tests {
         }
     }
 
+    /// Figure 10's marks recounted one record at a time.
+    fn marks_per_record(workload: &Workload, core: usize, instructions: usize) -> Vec<u64> {
+        let mut model = FunctionalFetchModel::new(&SystemConfig::table2());
+        let (mut marks, mut branches) = (Vec::new(), 0);
+        for rec in workload.walker(core).take(instructions) {
+            if model.access_pc(rec.pc).is_some() {
+                marks.push(branches);
+            }
+            if matches!(rec.branch, Some(b) if b.kind == BranchKind::Conditional && !b.inner_loop) {
+                branches += 1;
+            }
+        }
+        marks
+    }
+
     #[test]
     fn miss_traces_per_core() {
-        let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let walks: Vec<CoreWalk> = (0..2).map(|c| walk_core(&w, c, 30_000)).collect();
+        const INSTRUCTIONS: u64 = 100_000;
+        let n = INSTRUCTIONS as usize;
         let sys = SystemConfig::table2();
-        for (c, walk) in walks.iter().enumerate() {
-            assert!(!walk.misses.is_empty());
-            let records = w.walker(c).take(30_000);
-            assert_eq!(walk.misses, tifs_sim::miss_trace(records, &sys));
-            assert_eq!(walk.marks.len(), walk.misses.len());
-            assert!(walk.marks.windows(2).all(|m| m[0] <= m[1]));
+        let mut workloads: Vec<Workload> = WorkloadSpec::all_six()
+            .iter()
+            .map(|spec| Workload::build(spec, 3))
+            .collect();
+        // A duty-cycled tenant in a shifted mix slot whose context
+        // switches flush: idle quanta and switch countdowns cut its runs.
+        let flushing = WorkloadSpec::tiny_server()
+            .with_duty_cycle(0.5)
+            .with_ctx_switch_period(700);
+        workloads.push(Workload::build_at(&flushing, 3, 2));
+        for w in &workloads {
+            let walks: Vec<CoreWalk> = (0..2).map(|c| walk_core(w, c, INSTRUCTIONS)).collect();
+            for (c, walk) in walks.iter().enumerate() {
+                let name = &w.spec.name;
+                assert!(!walk.misses.is_empty(), "{name} core {c}");
+                let records = w.walker(c).take(n);
+                assert_eq!(
+                    walk.misses,
+                    tifs_sim::miss_trace(records, &sys),
+                    "{name} core {c}"
+                );
+                assert_eq!(walk.marks, marks_per_record(w, c, n), "{name} core {c}");
+            }
+            let traces: Vec<Vec<BlockAddr>> = walks.into_iter().map(|w| w.misses).collect();
+            let syms = to_symbol_traces(&traces);
+            assert_eq!(syms[0].len(), traces[0].len());
         }
-        let traces: Vec<Vec<BlockAddr>> = walks.into_iter().map(|w| w.misses).collect();
-        let syms = to_symbol_traces(&traces);
-        assert_eq!(syms[0].len(), traces[0].len());
     }
 }

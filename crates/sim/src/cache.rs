@@ -95,6 +95,12 @@ impl SetAssocCache {
         debug_assert_ne!(block, INVALID, "reserved sentinel address");
         let range = self.set_range(block);
         let set = &mut self.slots[range];
+        // Already MRU: the state a promote would leave. The functional
+        // fetch model's overlapping next-line fills re-insert most blocks
+        // this way.
+        if set[0] == block {
+            return None;
+        }
         if let Some(pos) = set.iter().position(|&b| b == block) {
             set.copy_within(0..pos, 1);
             set[0] = block;

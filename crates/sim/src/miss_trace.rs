@@ -6,7 +6,7 @@
 //! replays an instruction stream through a 64 KB 2-way L1-I with a
 //! continually-running next-line prefetcher and records the miss sequence.
 
-use tifs_trace::{BlockAddr, FetchRecord};
+use tifs_trace::{Addr, BlockAddr, FetchRecord};
 
 use crate::cache::SetAssocCache;
 use crate::config::SystemConfig;
@@ -35,13 +35,36 @@ impl FunctionalFetchModel {
 
     /// Feeds one instruction; returns `Some(block)` if its fetch was a
     /// miss (a new block transition not covered by L1 or next-line).
-    pub fn access_pc(&mut self, pc: tifs_trace::Addr) -> Option<BlockAddr> {
-        let block = pc.block();
-        if self.last_block == Some(block) {
-            return None;
+    pub fn access_pc(&mut self, pc: Addr) -> Option<BlockAddr> {
+        let mut miss = None;
+        self.access_run(pc, 1, |block| miss = Some(block));
+        miss
+    }
+
+    /// Feeds `len` instructions at consecutive PCs from `pc`, stepping
+    /// the L1-I once per block they enter, and calls `on_miss` with each
+    /// block whose fetch missed, in order. The same as [`access_pc`] on
+    /// each PC in turn.
+    ///
+    /// [`access_pc`]: Self::access_pc
+    pub fn access_run(&mut self, pc: Addr, len: u64, mut on_miss: impl FnMut(BlockAddr)) {
+        if len == 0 {
+            return;
         }
-        self.last_block = Some(block);
-        self.access_block(block).then_some(block)
+        let first = pc.block();
+        let last = pc.add_instrs(len - 1).block();
+        let from = if self.last_block == Some(first) {
+            first.next()
+        } else {
+            first
+        };
+        for b in from.0..=last.0 {
+            let block = BlockAddr(b);
+            if self.access_block(block) {
+                on_miss(block);
+            }
+        }
+        self.last_block = Some(last);
     }
 
     /// Performs one block-transition access; returns `true` on a miss.
@@ -79,14 +102,7 @@ pub fn miss_trace<I>(records: I, cfg: &SystemConfig) -> Vec<BlockAddr>
 where
     I: IntoIterator<Item = FetchRecord>,
 {
-    let mut model = FunctionalFetchModel::new(cfg);
-    let mut out = Vec::new();
-    for r in records {
-        if let Some(b) = model.access_pc(r.pc) {
-            out.push(b);
-        }
-    }
-    out
+    miss_trace_with_model(records, cfg).0
 }
 
 /// As [`miss_trace`], but also returns the model for rate inspection.
@@ -110,7 +126,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tifs_trace::Addr;
 
     fn cfg() -> SystemConfig {
         SystemConfig::table2()
@@ -182,6 +197,33 @@ mod tests {
         assert!(m.access_pc(Addr(7 * 64 + 60)).is_none());
         let (acc, _) = m.totals();
         assert_eq!(acc, 1);
+    }
+
+    #[test]
+    fn access_run_is_access_pc_per_instruction() {
+        // Runs that start mid-block, in the block the last run ended in,
+        // at a block's last instruction, and across several blocks.
+        let runs = [
+            (0x1000, 3),
+            (0x100c, 20),
+            (0x105c, 1),
+            (0x1060, 40),
+            (0x8000, 16),
+            (0x1000, 0),
+            (0x803c, 2),
+            (0x1004, 5),
+        ];
+        let mut by_run = FunctionalFetchModel::new(&cfg());
+        let mut by_pc = FunctionalFetchModel::new(&cfg());
+        for (pc, len) in runs {
+            let mut misses = Vec::new();
+            by_run.access_run(Addr(pc), len, |b| misses.push(b));
+            let expected: Vec<BlockAddr> = (0..len)
+                .filter_map(|i| by_pc.access_pc(Addr(pc).add_instrs(i)))
+                .collect();
+            assert_eq!(misses, expected, "run of {len} at {pc:#x}");
+            assert_eq!(by_run.totals(), by_pc.totals(), "run of {len} at {pc:#x}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   backward-shift deletion under forced collision pressure.
 //! * The flat [`SetAssocCache`] vs a per-set `Vec` reference
 //!   implementation of true LRU (the shape the cache had before it was
-//!   flattened into one contiguous slab).
+//!   flattened into one contiguous slab), from 1 to 16 ways.
 //!
 //! Each case drives both sides through one randomized op sequence and
 //! compares every observable result, not just the final state.
@@ -185,21 +185,38 @@ impl RefCache {
 
 proptest! {
     #[test]
-    fn flat_cache_matches_reference_lru(seed in 0u64..5_000, ways in 1usize..=4) {
+    fn flat_cache_matches_reference_lru(
+        seed in 0u64..5_000,
+        ways in prop_oneof![1usize..=4, Just(16usize)],
+    ) {
         let mut rng = Rng(seed);
-        // 8 sets x `ways` ways, 64-byte blocks.
+        // 8 sets x `ways` ways, 64-byte blocks; 16 ways is the L2
+        // directory's associativity. Each set sees at least twice as many
+        // tags as it has ways, so evictions happen at every width.
         let mut cache = SetAssocCache::new(8 * ways * 64, ways);
         let mut reference = RefCache::new(8, ways);
         prop_assert_eq!(cache.num_sets(), 8);
+        let tags = 2 * ways.max(4) as u64;
         for _ in 0..400 {
-            let b = BlockAddr(rng.next() % 64);
-            match rng.next() % 4 {
+            let b = BlockAddr(rng.next() % (8 * tags));
+            match rng.next() % 5 {
                 0 => prop_assert_eq!(cache.access(b), reference.access(b)),
                 1 => {
                     let s = reference.set_of(b);
                     prop_assert_eq!(cache.peek(b), reference.sets[s].contains(&b));
                 }
                 2 => prop_assert_eq!(cache.insert(b), reference.insert(b)),
+                3 => {
+                    // Re-insert the set's MRU block back to back: the
+                    // insert's early return must leave what a promote
+                    // would.
+                    let s = reference.set_of(b);
+                    if let Some(&mru) = reference.sets[s].first() {
+                        for _ in 0..2 {
+                            prop_assert_eq!(cache.insert(mru), reference.insert(mru));
+                        }
+                    }
+                }
                 _ => prop_assert_eq!(cache.invalidate(b), reference.invalidate(b)),
             }
             let ref_len: usize = reference.sets.iter().map(Vec::len).sum();

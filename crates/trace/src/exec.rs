@@ -15,6 +15,26 @@
 //!   concurrent streams arise from traps and context switches);
 //! * **load latency classes**: loads draw an L1-D/L2/memory class from the
 //!   workload's data profile, driving the back-end timing model.
+//!
+//! # Runs
+//!
+//! Most instructions are plain ops: not control transfers. The walker
+//! advances over them a *run* at a time. A run is the maximal stretch of
+//! consecutive plain ops in the current function, starting at the top
+//! frame's next instruction. It is capped so that neither the trap
+//! countdown nor the context-switch countdown expires inside it, so no
+//! instruction of a run carries a trap or a flush. When a run forms, the
+//! frame and both countdowns move past all of it at once. Everything else
+//! takes the one-instruction path: control ops, idle-loop instructions,
+//! the walk's first instruction, and an instruction at which a countdown
+//! reaches 0. A run's load classes are drawn in instruction order as its
+//! ops are taken, so they are exactly the draws a walk one instruction at
+//! a time makes.
+//!
+//! One run state serves two views. [`Iterator::next`] emits the run one
+//! [`FetchRecord`] at a time; [`Walker::step`] hands over up to a given
+//! number of its ops as one [`Step::Run`], for consumers that need only
+//! the PCs. The two interleave freely and yield the same stream.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +152,38 @@ pub const IDLE_BASE: u64 = 0x8000;
 /// backward jump).
 pub const IDLE_LOOP_LEN: u64 = 16;
 
+/// What one [`Walker::step`] advanced over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// `len` plain ops at consecutive PCs from `pc`: no branch, no trap
+    /// and no flush among them.
+    Run {
+        /// PC of the first op.
+        pc: Addr,
+        /// Number of ops, at least 1.
+        len: u64,
+    },
+    /// One instruction, exactly as [`Iterator::next`] would emit it.
+    Instr(FetchRecord),
+}
+
+/// The unemitted rest of the current run: `left` plain ops, the first at
+/// `pc` and at image position `pos`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    pc: Addr,
+    pos: usize,
+    left: u32,
+}
+
+impl Run {
+    fn advance(&mut self, n: u32) {
+        self.pc = self.pc.add_instrs(u64::from(n));
+        self.pos += n as usize;
+        self.left -= n;
+    }
+}
+
 /// Infinite iterator over the committed instruction stream of one core.
 ///
 /// # Example
@@ -169,6 +221,9 @@ pub struct Walker<'p> {
     idle_left: u64,
     /// Position within the current idle-loop iteration.
     idle_pos: u64,
+    /// The current run's unemitted ops; the top frame and both countdowns
+    /// already point past them.
+    run: Run,
     instructions: u64,
     transactions: u64,
 }
@@ -198,6 +253,7 @@ impl<'p> Walker<'p> {
             ctx_countdown,
             idle_left: 0,
             idle_pos: 0,
+            run: Run::default(),
             instructions: 0,
             transactions: 0,
         }
@@ -221,6 +277,81 @@ impl<'p> Walker<'p> {
         let u: f64 = rng.gen_range(1e-12..1.0);
         let g = (-(u.ln()) * period as f64) as u64;
         g.max(1)
+    }
+
+    /// Advances over at most `max` instructions: up to `max` ops of the
+    /// current run, forming a new run if none is left, or else one
+    /// instruction. Interleaved with [`Iterator::next`] in any order, the
+    /// instructions stepped over are exactly those `next` alone would
+    /// emit, and the random draws stay in step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` is 0.
+    pub fn step(&mut self, max: u64) -> Step {
+        assert!(max > 0, "a step covers at least one instruction");
+        if self.run.left == 0 && !self.begin_run() {
+            return Step::Instr(self.one_instruction());
+        }
+        let len = self.run.left.min(u32::try_from(max).unwrap_or(u32::MAX));
+        // Draw the loads' classes exactly as emitting the records would.
+        for pos in self.run.pos..self.run.pos + len as usize {
+            self.mem_class(self.program.plain_mem(pos));
+        }
+        let pc = self.run.pc;
+        self.run.advance(len);
+        self.instructions += u64::from(len);
+        Step::Run {
+            pc,
+            len: u64::from(len),
+        }
+    }
+
+    /// Forms a run at the top frame's next instruction, moving the frame
+    /// and both countdowns past it. Returns `false`, forming nothing, when
+    /// that instruction must take the one-instruction path.
+    fn begin_run(&mut self) -> bool {
+        if self.idle_left > 0 {
+            return false;
+        }
+        let Some(at) = self.stack.last_mut() else {
+            return false;
+        };
+        // The op at which a countdown stands at 0 fires it, so a run may
+        // cover only as many ops as the smaller countdown. A disabled
+        // context switch stays frozen at u64::MAX; a disabled trap still
+        // counts down from u64::MAX.
+        let mut cap = self.trap_countdown;
+        if self.ctx_countdown != u64::MAX {
+            cap = cap.min(self.ctx_countdown);
+        }
+        let ops = self
+            .program
+            .plain_run(*at, u32::try_from(cap).unwrap_or(u32::MAX));
+        if ops.is_empty() {
+            return false;
+        }
+        let len = u32::try_from(ops.len()).expect("capped at u32::MAX");
+        self.run = Run {
+            pc: self.program.addr_of(at.func, at.idx),
+            pos: ops.start,
+            left: len,
+        };
+        at.idx += len;
+        self.trap_countdown -= u64::from(len);
+        if self.ctx_countdown != u64::MAX {
+            self.ctx_countdown -= u64::from(len);
+        }
+        true
+    }
+
+    /// The record class of a plain op, drawing a load's latency class.
+    fn mem_class(&mut self, mem: PlainMem) -> MemClass {
+        match mem {
+            PlainMem::Load => self.draw_load_class(),
+            PlainMem::Store => MemClass::Store,
+            PlainMem::None => MemClass::None,
+        }
     }
 
     fn draw_load_class(&mut self) -> MemClass {
@@ -321,16 +452,13 @@ impl<'p> Walker<'p> {
         }
         record
     }
-}
 
-impl Iterator for Walker<'_> {
-    type Item = FetchRecord;
-
-    fn next(&mut self) -> Option<FetchRecord> {
+    /// Emits the next instruction without forming a run.
+    fn one_instruction(&mut self) -> FetchRecord {
         if self.idle_left > 0 {
             let record = self.idle_step();
             self.instructions += 1;
-            return Some(record);
+            return record;
         }
         if self.stack.is_empty() {
             // Scheduling decision: next transaction or an idle quantum.
@@ -338,7 +466,7 @@ impl Iterator for Walker<'_> {
             if self.idle_left > 0 {
                 let record = self.idle_step();
                 self.instructions += 1;
-                return Some(record);
+                return record;
             }
         }
         let at = *self.stack.last().expect("frame pushed above");
@@ -347,11 +475,7 @@ impl Iterator for Walker<'_> {
         let mut record = FetchRecord::plain(pc);
         match self.program.op(at) {
             Op::Plain { mem } => {
-                record.mem = match mem {
-                    PlainMem::Load => self.draw_load_class(),
-                    PlainMem::Store => MemClass::Store,
-                    PlainMem::None => MemClass::None,
-                };
+                record.mem = self.mem_class(mem);
                 self.stack.last_mut().expect("frame").idx += 1;
             }
             Op::CondBranch {
@@ -435,6 +559,21 @@ impl Iterator for Walker<'_> {
             record.flush = true;
         }
 
+        self.instructions += 1;
+        record
+    }
+}
+
+impl Iterator for Walker<'_> {
+    type Item = FetchRecord;
+
+    fn next(&mut self) -> Option<FetchRecord> {
+        if self.run.left == 0 && !self.begin_run() {
+            return Some(self.one_instruction());
+        }
+        let mut record = FetchRecord::plain(self.run.pc);
+        record.mem = self.mem_class(self.program.plain_mem(self.run.pos));
+        self.run.advance(1);
         self.instructions += 1;
         Some(record)
     }
@@ -676,6 +815,49 @@ mod tests {
         .take(10_000)
         .collect();
         assert!(baseline.iter().all(|r| !r.flush));
+    }
+
+    /// Runs change how the walker advances, not what it emits: a walker
+    /// that forms runs emits exactly the records of its twin driven only
+    /// through the one-instruction path. Short trap and switch periods
+    /// make countdowns expire at and inside would-be runs.
+    #[test]
+    fn runs_replay_the_one_instruction_path() {
+        use crate::workload::{Workload, WorkloadSpec};
+        let configs = [
+            (1, 0, 1.0),
+            (3, 1, 1.0),
+            (7, 13, 0.25),
+            (40, 0, 0.25),
+            (40, 64, 1.0),
+            (2000, 0, 1.0),
+        ];
+        for (i, (trap_period, ctx_switch_period, duty_cycle)) in configs.into_iter().enumerate() {
+            let spec = WorkloadSpec {
+                trap_period,
+                ..WorkloadSpec::tiny_server()
+            }
+            .with_duty_cycle(duty_cycle)
+            .with_ctx_switch_period(ctx_switch_period);
+            let w = Workload::build_at(&spec, 5, i % 3);
+            for max_stack in [2, 64] {
+                let exec = ExecConfig {
+                    max_stack,
+                    ..w.exec.clone()
+                };
+                let walker = || Walker::new(&w.program, w.mix.clone(), exec.clone(), i as u64);
+                let (mut runs, mut reference) = (walker(), walker());
+                for n in 0..20_000 {
+                    let expected = reference.one_instruction();
+                    assert_eq!(
+                        runs.next(),
+                        Some(expected),
+                        "config {i}, max_stack {max_stack}, record {n}"
+                    );
+                }
+                assert_eq!(runs.instructions(), reference.instructions());
+            }
+        }
     }
 
     #[test]

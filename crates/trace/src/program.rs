@@ -236,6 +236,19 @@ impl PackedOp {
     fn arg(self) -> u32 {
         ((self.0 >> ARG_SHIFT) & ARG_MASK) as u32
     }
+
+    fn is_plain(self) -> bool {
+        self.0 & KIND_MASK == KIND_PLAIN
+    }
+
+    /// A plain op's memory class.
+    fn plain_mem(self) -> PlainMem {
+        match self.arg() {
+            0 => PlainMem::None,
+            1 => PlainMem::Load,
+            _ => PlainMem::Store,
+        }
+    }
 }
 
 /// One function table entry: where the function lives in the image and
@@ -485,11 +498,7 @@ impl Program {
         let op = image.ops[(f.first + at.idx) as usize];
         match op.0 & KIND_MASK {
             KIND_PLAIN => Op::Plain {
-                mem: match op.arg() {
-                    0 => PlainMem::None,
-                    1 => PlainMem::Load,
-                    _ => PlainMem::Store,
-                },
+                mem: op.plain_mem(),
             },
             KIND_COND_BRANCH => Op::CondBranch {
                 target: op.arg(),
@@ -507,6 +516,28 @@ impl Program {
             }
             _ => Op::Return,
         }
+    }
+
+    /// The image positions of the consecutive plain ops that start at
+    /// `at`: at most `max` of them, and none past the end of `at`'s
+    /// function. Empty when the op at `at` is not plain.
+    #[inline]
+    pub(crate) fn plain_run(&self, at: InstrRef, max: u32) -> Range<usize> {
+        let image = &*self.image;
+        let f = image.funcs[at.func.index()];
+        let start = (f.first + at.idx) as usize;
+        let end = start + f.len.saturating_sub(at.idx).min(max) as usize;
+        let ops = &image.ops[start..end];
+        start..start + ops.iter().take_while(|op| op.is_plain()).count()
+    }
+
+    /// The memory class of the plain op at image position `pos`, a
+    /// position [`plain_run`](Self::plain_run) returned.
+    #[inline]
+    pub(crate) fn plain_mem(&self, pos: usize) -> PlainMem {
+        let op = self.image.ops[pos];
+        debug_assert!(op.is_plain(), "op {pos} is not plain");
+        op.plain_mem()
     }
 
     /// Decodes a PC to its function and instruction index, or `None` if the
