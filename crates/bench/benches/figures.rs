@@ -1,8 +1,8 @@
 //! One bench per paper table/figure kernel, at reduced scale.
 //!
 //! These measure the cost of regenerating each result; the full-scale
-//! regenerations (paper-size inputs, all six workloads) are the
-//! `tifs-experiments` binaries (`fig01`…`fig13`, `table1`, `table2`).
+//! regenerations (paper-size inputs, all six workloads) are the `tifs`
+//! driver's subcommands (`fig01`…`fig13`, `table1`, `table2`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -10,7 +10,7 @@ use tifs_experiments::engine::run_cell;
 use tifs_experiments::figures::{fig01, fig03, fig05, fig06, fig10, fig11, fig12, fig13, tables};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_sim::config::SystemConfig;
-use tifs_trace::workload::{Workload, WorkloadSpec};
+use tifs_trace::workload::{CellPrograms, WorkloadSpec};
 
 /// Reduced-scale configuration: one short window, enough to exercise every
 /// code path of the figure pipelines.
@@ -32,13 +32,13 @@ fn bench_tables(c: &mut Criterion) {
 
 fn bench_fig01_kernel(c: &mut Criterion) {
     // Kernel: one probabilistic-coverage timing point.
-    let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
+    let programs = CellPrograms::build(&WorkloadSpec::web_zeus().into(), 42);
     let cfg = small();
     let system = SystemKind::Probabilistic(0.5).into();
     let mut g = c.benchmark_group("fig01");
     g.sample_size(10);
     g.bench_function("one_coverage_point", |b| {
-        b.iter(|| run_cell(&w, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
+        b.iter(|| run_cell(&programs, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
     });
     g.finish();
 }
@@ -68,9 +68,9 @@ fn bench_timing_studies(c: &mut Criterion) {
     g.bench_function("fig12_traffic", |b| b.iter(|| fig12::run(&cfg).len()));
     g.bench_function("fig13_one_workload_tifs", |b| {
         // Kernel of Figure 13: one TIFS timing run.
-        let w = Workload::build(&WorkloadSpec::oltp_db2(), 42);
+        let programs = CellPrograms::build(&WorkloadSpec::oltp_db2().into(), 42);
         let system = SystemKind::TifsVirtualized.into();
-        b.iter(|| run_cell(&w, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
+        b.iter(|| run_cell(&programs, &system, &cfg, &SystemConfig::table2()).aggregate_ipc())
     });
     g.finish();
 }

@@ -24,7 +24,8 @@
 //!
 //! Degenerate configurations are *byte-identical* to private metadata —
 //! a `Shared` organization at 1 core, or at N cores with per-core
-//! quotas and unlimited ports, produces the same [`SimReport`] bytes as
+//! quotas and unlimited ports, produces the same
+//! [`SimReport`](tifs_sim::stats::SimReport) bytes as
 //! [`PrivatePerCore`](MetadataOrg::PrivatePerCore) — pinned by the
 //! `sharing_equivalence` property suite in `tifs-experiments`.
 

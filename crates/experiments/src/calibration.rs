@@ -1,5 +1,6 @@
-//! Table I calibration bands — the single source of truth shared by the
-//! `calibrate` binary (which exits nonzero on drift) and the
+//! Table I calibration: one measurement ([`measure`]) and its bands
+//! ([`check_bands`]) — the single source of truth shared by the `tifs
+//! calibrate` subcommand (which exits nonzero on drift) and the
 //! `calibration_regression` test suite (which fails on drift), so the
 //! two can never disagree about what "in calibration" means.
 //!
@@ -20,6 +21,14 @@
 //! When retuning specs (ROADMAP: drift vs. the paper's targets), move
 //! these bands *with* the retune, in the same commit, deliberately.
 
+use tifs_sequitur::categorize::{categorize, CategoryCounts};
+use tifs_sequitur::heuristics::{evaluate_with_index, Heuristic, HeuristicConfig};
+use tifs_sequitur::streams::stream_occurrences;
+use tifs_sequitur::{LceIndex, LengthCdf};
+use tifs_sim::{miss_trace_with_model, SystemConfig};
+use tifs_trace::filter::collapse_sequential;
+use tifs_trace::workload::Workload;
+
 /// Target band for one workload, with explicit tolerances.
 #[derive(Debug)]
 pub struct Band {
@@ -37,8 +46,9 @@ pub struct Band {
     pub min_recent_cov: f64,
 }
 
-/// The instruction budget the bands are calibrated at (the `calibrate`
-/// binary's default; the statistics are scale-dependent).
+/// The instruction budget the bands are calibrated at (the default
+/// [`ExpConfig`](crate::harness::ExpConfig) budget; the statistics are
+/// scale-dependent).
 pub const CALIBRATION_INSTRUCTIONS: u64 = 2_000_000;
 
 /// Tolerance bands around the Table I shapes, in `WorkloadSpec::all_six`
@@ -95,8 +105,8 @@ pub const TABLE1_BANDS: [Band; 6] = [
     },
 ];
 
-/// One workload's measured calibration statistics (what the `calibrate`
-/// binary reports).
+/// One workload's measured calibration statistics (what `tifs calibrate`
+/// reports).
 #[derive(Clone, Debug)]
 pub struct Measurement {
     /// Workload display name.
@@ -105,12 +115,49 @@ pub struct Measurement {
     pub text_kb: u64,
     /// L1-I misses per 1000 instructions.
     pub miss_per_1k: f64,
+    /// L1-I miss rate per access.
+    pub miss_rate: f64,
+    /// Length of the miss trace.
+    pub misses: usize,
     /// Repetitive-miss fraction.
     pub repetitive: f64,
+    /// Fraction of misses in the Opportunity category (Figure 3).
+    pub opportunity: f64,
     /// Median temporal-stream length.
     pub median_len: usize,
     /// Recent-heuristic coverage.
     pub recent_cov: f64,
+    /// Opportunity-heuristic coverage.
+    pub opportunity_cov: f64,
+}
+
+/// Measures `workload` on core 0 over its first `instructions`
+/// instructions through the Table II functional fetch model: the miss
+/// density, the Figure 3 categories, Figure 5's median stream length
+/// over the sequentially collapsed trace, and Figure 6's Recent and
+/// Opportunity coverage over one suffix index.
+pub fn measure(workload: &Workload, instructions: u64) -> Measurement {
+    let records = workload.walker(0).take(instructions as usize);
+    let (miss, model) = miss_trace_with_model(records, &SystemConfig::table2());
+    let trace: Vec<u64> = miss.iter().map(|b| b.0).collect();
+    let counts = CategoryCounts::from_classes(&categorize(&trace));
+    let collapsed: Vec<u64> = collapse_sequential(&miss).iter().map(|b| b.0).collect();
+    let cdf = LengthCdf::from_occurrences(&stream_occurrences(&collapsed));
+    let lce = LceIndex::new(&trace);
+    let coverage = |h| evaluate_with_index(&trace, &lce, &HeuristicConfig::new(h)).coverage();
+    let (_accesses, misses) = model.totals();
+    Measurement {
+        name: workload.spec.name.to_string(),
+        text_kb: workload.program.text_bytes() / 1024,
+        miss_per_1k: 1000.0 * misses as f64 / instructions as f64,
+        miss_rate: model.miss_rate(),
+        misses: trace.len(),
+        repetitive: counts.repetitive_fraction(),
+        opportunity: counts.fractions()[0],
+        median_len: cdf.quantile(0.5).unwrap_or(0),
+        recent_cov: coverage(Heuristic::Recent),
+        opportunity_cov: coverage(Heuristic::Opportunity),
+    }
 }
 
 /// Checks measurements against [`TABLE1_BANDS`], returning one line per
@@ -194,9 +241,13 @@ mod tests {
                 name: b.name.to_string(),
                 text_kb: (b.text_kb.0 + b.text_kb.1) / 2,
                 miss_per_1k: (b.miss_per_1k.0 + b.miss_per_1k.1) / 2.0,
+                miss_rate: 0.0,
+                misses: 0,
                 repetitive: (b.min_repetitive + 1.0) / 2.0,
+                opportunity: 0.0,
                 median_len: (b.median_len.0 + b.median_len.1) / 2,
                 recent_cov: (b.min_recent_cov + 1.0) / 2.0,
+                opportunity_cov: 0.0,
             })
             .collect()
     }

@@ -1,12 +1,16 @@
 //! The shared experiment engine.
 //!
-//! Every figure, table, and binary of the evaluation is a grid of
-//! *cells* — (workload × system) simulations under one [`ExpConfig`] and
-//! one [`SystemConfig`] — or an *analysis* over per-workload miss traces.
-//! This module is the single place that
+//! Every figure, table, and subcommand of the evaluation is a grid of
+//! *cells* — (row × system) simulations under one [`ExpConfig`] and one
+//! [`SystemConfig`], each row a [`CellWorkload`] — or an *analysis* over
+//! per-workload miss traces. This module is the single place that
 //!
-//! * builds each [`Workload`] **once** and shares it across every system
-//!   measured on it (a build costs as much as a short timing run);
+//! * runs cells: [`ExperimentGrid::run_on`] is the one cell pipeline,
+//!   for homogeneous rows and workload mixes alike — it resolves cached
+//!   cells, computes the missing ones and writes them through;
+//! * builds each program image **once** and shares it across every
+//!   system and row that walks it ([`Lab::cell_programs`]; a build costs
+//!   as much as a short timing run);
 //! * constructs core fetch streams and prefetchers ([`run_cell`] is the
 //!   only stream-construction site in the experiments crate);
 //! * fans independent cells out across threads ([`par::map`], a
@@ -20,9 +24,9 @@
 //!   re-running the functional model at all;
 //! * caches whole timing runs: with a persistent [`ReportStore`] attached
 //!   ([`Lab::with_report_store`], `TIFS_REPORT_STORE`), every cell's
-//!   [`SimReport`] is keyed by a [`report_key`] fingerprint of the *full*
-//!   cell configuration and persisted through the canonical report codec,
-//!   so a repeat grid run recomputes nothing.
+//!   [`SimReport`] is keyed by a [`report_key_cell`] fingerprint of the
+//!   *full* cell configuration and persisted through the canonical report
+//!   codec, so a repeat grid run recomputes nothing.
 //!
 //! Every cell runs the paper's coupled CMP: its cores share one L2, one
 //! memory channel and one prefetcher instance. Cells are deterministic:
@@ -250,36 +254,17 @@ pub fn build_prefetcher<'a>(
     }
 }
 
-/// Runs one grid cell: `system` over `workload` on the `sys` CMP. The
-/// only place in the experiments crate that constructs core fetch
-/// streams.
-pub fn run_cell(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-) -> SimReport {
-    let streams: Vec<_> = (0..sys.num_cores)
-        .map(|c| Box::new(workload.walker(c)) as Box<dyn Iterator<Item = FetchRecord>>)
-        .collect();
-    let pf = build_prefetcher(system, workload, sys, exp.seed);
-    let mut cmp = Cmp::new(sys.clone(), streams, pf);
-    cmp.run_with_warmup(exp.warmup, exp.instructions)
-}
-
-/// Runs one heterogeneous-mix cell: core `c` walks
-/// [`CellPrograms::walker`]`(c)` — its own mix position's program in its
-/// own address-space slot — on the shared `sys` CMP. A homogeneous cell
-/// (or a degenerate mix, which [`CellPrograms::build`] canonicalizes)
-/// deduplicates to the single slot-0 program and reproduces [`run_cell`]
-/// byte for byte.
+/// Runs one grid cell: `system` on the `sys` CMP, core `c` walking
+/// [`CellPrograms::walker`]`(c)`. The only place in the experiments crate
+/// that constructs core fetch streams. A homogeneous cell is the
+/// degenerate case: every core walks the one slot-0 program.
 ///
 /// The prefetcher is built against core 0's workload; that argument only
 /// matters to [`SystemKind::Fdip`], which pre-decodes one program image —
 /// mix grids measure TIFS/NextLine systems, whose construction ignores
 /// it. (An FDIP mix cell would need per-core decoders; gate it here if
 /// that study ever materializes.)
-pub fn run_cell_mix(
+pub fn run_cell(
     programs: &CellPrograms,
     system: &SystemSpec,
     exp: &ExpConfig,
@@ -555,115 +540,6 @@ fn load_cached_report(store: &ReportStore, key: &ReportKey) -> Option<SimReport>
     }
 }
 
-/// Runs a batch of heterogeneous-mix cells against a set of systems and
-/// returns one report row per cell, in `systems` order — the mix-axis
-/// analogue of [`ExperimentGrid::run_on`].
-///
-/// With a [`ReportStore`] attached to `lab`, each cell consults the store
-/// under its [`report_key_cell`] first; only rows with missing cells get
-/// [`CellPrograms`] ([`build_cell_programs`]: each distinct program image
-/// built once and shared by every slot and row that walks it) and
-/// simulate (fanned across `threads` workers), then write through. Cached
-/// cells skip the program build entirely, so a warm run is all store
-/// reads.
-pub fn run_mix_cells(
-    lab: &Lab,
-    sys: &SystemConfig,
-    cells: &[CellWorkload],
-    systems: &[SystemSpec],
-    threads: usize,
-) -> Vec<Vec<SimReport>> {
-    let exp = *lab.exp();
-    let store = lab.report_store();
-    let pairs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..systems.len()).map(move |s| (c, s)))
-        .collect();
-    let key_of = |c: usize, s: usize| {
-        report_key_cell(
-            &cells[c],
-            exp.seed,
-            &systems[s],
-            &exp,
-            sys,
-            ExecMode::Coupled,
-        )
-    };
-    let mut reports: Vec<Option<SimReport>> = match store {
-        Some(store) => pairs
-            .iter()
-            .map(|&(c, s)| load_cached_report(store, &key_of(c, s)))
-            .collect(),
-        None => pairs.iter().map(|_| None).collect(),
-    };
-    let missing: Vec<(usize, usize)> = pairs
-        .iter()
-        .zip(&reports)
-        .filter(|(_, cached)| cached.is_none())
-        .map(|(&pair, _)| pair)
-        .collect();
-    let mut need = vec![false; cells.len()];
-    for &(c, _) in &missing {
-        need[c] = true;
-    }
-    let programs = build_cell_programs(cells, &need, exp.seed, threads);
-    let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(c, s)| {
-        let programs = programs[c]
-            .as_ref()
-            .expect("programs built for missing cell");
-        run_cell_mix(programs, &systems[s], &exp, sys)
-    });
-    let mut computed_iter = computed.into_iter();
-    for (slot, &(c, s)) in reports.iter_mut().zip(&pairs) {
-        if slot.is_none() {
-            let report = computed_iter.next().expect("one report per missing cell");
-            if let Some(store) = store {
-                if let Err(e) = store.save(&key_of(c, s), &report.to_canonical_bytes()) {
-                    eprintln!(
-                        "[report-store] failed to persist mix cell ({}, {}): {e}",
-                        cells[c].name(),
-                        systems[s].name()
-                    );
-                }
-            }
-            *slot = Some(report);
-        }
-    }
-    let mut rows: Vec<Vec<SimReport>> = (0..cells.len())
-        .map(|_| Vec::with_capacity(systems.len()))
-        .collect();
-    for ((c, _), report) in pairs.into_iter().zip(reports) {
-        rows[c].push(report.expect("every cell resolved"));
-    }
-    rows
-}
-
-/// The [`CellPrograms`] of every cell whose `need` flag is set (`None`
-/// elsewhere), with each distinct program image built once: one slot-0
-/// build per shape among the needed cells ([`distinct_shapes`]), fanned
-/// across `threads` workers, from which every needed cell is assembled.
-/// Slots and rows whose specs differ only in slot, duty cycle or
-/// context-switch period share one image; different shapes never do.
-pub fn build_cell_programs(
-    cells: &[CellWorkload],
-    need: &[bool],
-    seed: u64,
-    threads: usize,
-) -> Vec<Option<CellPrograms>> {
-    let shapes = distinct_shapes(
-        cells
-            .iter()
-            .zip(need)
-            .filter(|&(_, &n)| n)
-            .map(|(cell, _)| cell),
-    );
-    let images = par::map(&shapes, threads, |_, spec| Workload::build(spec, seed));
-    cells
-        .iter()
-        .zip(need)
-        .map(|(cell, &n)| n.then(|| CellPrograms::assemble(cell, seed, &images)))
-        .collect()
-}
-
 /// A set of workloads built once and shared by every figure that runs on
 /// them: the substrate under both timing grids ([`ExperimentGrid::run_on`])
 /// and trace analyses ([`Lab::analyze`]).
@@ -693,9 +569,7 @@ impl Lab {
         Lab::build_with_threads(specs, exp, par::parallelism())
     }
 
-    /// As [`build`](Self::build), with an explicit worker count
-    /// ([`ExperimentGrid`] forwards its own setting here so `serial()`
-    /// grids really are serial end to end).
+    /// As [`build`](Self::build), with an explicit worker count.
     pub fn build_with_threads(specs: Vec<WorkloadSpec>, exp: ExpConfig, threads: usize) -> Lab {
         let workloads = par::map(&specs, threads, |_, spec| Workload::build(spec, exp.seed));
         let traces = specs.iter().map(|_| OnceLock::new()).collect();
@@ -727,7 +601,7 @@ impl Lab {
     /// lab ([`ExperimentGrid::run_on`]) read their [`SimReport`]s from it
     /// when present and write through on first computation. Like the
     /// trace store, it is a pure cache — entries are keyed by a
-    /// [`report_key`] fingerprint of every input, so attached and
+    /// [`report_key_cell`] fingerprint of every input, so attached and
     /// detached labs produce identical reports.
     pub fn with_report_store(mut self, store: ReportStore) -> Lab {
         self.report_store = Some(store);
@@ -737,8 +611,8 @@ impl Lab {
     /// Attaches the stores selected by the environment: the trace store
     /// (`TIFS_TRACE_STORE`) *and* the report store (`TIFS_REPORT_STORE`),
     /// each defaulting to its directory when unset and disabled by
-    /// `off`/`0`/`none`. Binaries call this; library users and tests stay
-    /// hermetic unless they opt in.
+    /// `off`/`0`/`none`. The `tifs` driver calls this; library users and
+    /// tests stay hermetic unless they opt in.
     pub fn with_store_from_env(mut self) -> Lab {
         self.store = TraceStore::from_env();
         self.report_store = ReportStore::from_env();
@@ -778,6 +652,37 @@ impl Lab {
     /// Built workload `i`.
     pub fn workload(&self, i: usize) -> &Workload {
         &self.workloads[i]
+    }
+
+    /// The [`CellPrograms`] of every row whose `need` flag is set (`None`
+    /// elsewhere). Rows assemble from the lab's own built workloads, so a
+    /// row the lab holds walks the lab's image; each shape the lab does
+    /// not hold ([`distinct_shapes`]) is built once, at the lab's seed,
+    /// fanned across `threads` workers. Slots and rows whose specs differ
+    /// only in slot, duty cycle or context-switch period share one image;
+    /// different shapes never do.
+    pub fn cell_programs(
+        &self,
+        rows: &[CellWorkload],
+        need: &[bool],
+        threads: usize,
+    ) -> Vec<Option<CellPrograms>> {
+        let held: Vec<CellWorkload> = self.specs.iter().cloned().map(CellWorkload::from).collect();
+        let needed = rows
+            .iter()
+            .zip(need)
+            .filter(|&(_, &n)| n)
+            .map(|(row, _)| row);
+        let shapes = distinct_shapes(held.iter().chain(needed));
+        let new_shapes = &shapes[distinct_shapes(&held).len()..];
+        let built = par::map(new_shapes, threads, |_, spec| {
+            Workload::build(spec, self.exp.seed)
+        });
+        let images: Vec<Workload> = self.workloads.iter().cloned().chain(built).collect();
+        rows.iter()
+            .zip(need)
+            .map(|(row, &n)| n.then(|| CellPrograms::assemble(row, self.exp.seed, &images)))
+            .collect()
     }
 
     /// Per-core L1-I miss traces of workload `i` ([`ANALYSIS_CORES`]
@@ -928,13 +833,13 @@ impl WorkloadCtx<'_> {
     }
 }
 
-/// A declarative (workload × system) grid: build once, run every cell,
-/// get keyed reports back.
+/// A declarative (row × system) grid: each row a [`CellWorkload`], each
+/// column a [`SystemSpec`]; run every cell, get keyed reports back.
 #[derive(Clone, Debug)]
 pub struct ExperimentGrid {
     exp: ExpConfig,
     sys: SystemConfig,
-    workloads: Vec<WorkloadSpec>,
+    workloads: Vec<CellWorkload>,
     systems: Vec<SystemSpec>,
     threads: Option<usize>,
 }
@@ -957,9 +862,10 @@ impl ExperimentGrid {
         self
     }
 
-    /// Adds workloads (rows).
-    pub fn workloads(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> Self {
-        self.workloads.extend(specs);
+    /// Adds rows; accepts [`WorkloadSpec`] (a homogeneous row) and
+    /// [`CellWorkload`].
+    pub fn workloads<W: Into<CellWorkload>>(mut self, rows: impl IntoIterator<Item = W>) -> Self {
+        self.workloads.extend(rows.into_iter().map(Into::into));
         self
     }
 
@@ -985,83 +891,86 @@ impl ExperimentGrid {
         self.threads.unwrap_or_else(par::parallelism)
     }
 
-    /// Builds every workload once, then runs all (workload × system)
-    /// cells in parallel (or serially, per [`serial`](Self::serial) /
-    /// [`threads`](Self::threads)).
+    /// Runs the declared rows on an empty lab: [`run_on`](Self::run_on)
+    /// builds each program shape once, in parallel (or serially, per
+    /// [`serial`](Self::serial) / [`threads`](Self::threads)).
     pub fn run(&self) -> GridResults {
-        let lab = Lab::build_with_threads(self.workloads.clone(), self.exp, self.worker_count());
-        self.run_on(&lab)
+        self.run_on(&Lab::build(Vec::new(), self.exp))
     }
 
-    /// As [`run`](Self::run), on workloads already built in a [`Lab`]
-    /// (`all_figures` shares one lab across every figure). Workloads
-    /// added via [`workloads`](Self::workloads) are ignored in favour of
-    /// the lab's.
+    /// Runs every (row × system) cell on `lab`: the one cell pipeline.
+    /// The rows are those added via [`workloads`](Self::workloads), or the
+    /// lab's own workloads when the grid declares none (`tifs all` shares
+    /// one lab across every figure).
     ///
-    /// With a [`ReportStore`] attached to the lab, each cell first
-    /// consults the store under its [`report_key`]; only missing cells
-    /// are simulated (fanned across threads) and written through.
-    /// The store is a pure cache: attached and detached runs produce
-    /// identical results.
+    /// Every cell is keyed by [`report_key_cell`]. With a [`ReportStore`]
+    /// attached to the lab, cached cells are loaded first; programs are
+    /// then assembled ([`Lab::cell_programs`]) only for rows with a
+    /// missing cell, the missing cells run across threads in (row,
+    /// system) order, and each is written through. The store is a pure
+    /// cache: attached and detached runs produce identical results.
     pub fn run_on(&self, lab: &Lab) -> GridResults {
         let threads = self.worker_count();
-        let store = lab.report_store();
-        let cells: Vec<(usize, usize)> = (0..lab.len())
-            .flat_map(|w| (0..self.systems.len()).map(move |s| (w, s)))
+        let rows: Vec<CellWorkload> = if self.workloads.is_empty() {
+            (0..lab.len()).map(|i| lab.spec(i).clone().into()).collect()
+        } else {
+            self.workloads.clone()
+        };
+        let cells: Vec<(usize, usize)> = (0..rows.len())
+            .flat_map(|r| (0..self.systems.len()).map(move |s| (r, s)))
             .collect();
-        let key_of = |w: usize, s: usize| {
-            report_key(
-                lab.spec(w),
-                lab.exp().seed,
-                &self.systems[s],
-                &self.exp,
-                &self.sys,
-                ExecMode::Coupled,
-            )
-        };
-        // Resolve cached cells first (cheap, serial disk reads), then fan
-        // only the missing ones out across workers.
-        let mut reports: Vec<Option<SimReport>> = match store {
-            Some(store) => cells
-                .iter()
-                .map(|&(w, s)| load_cached_report(store, &key_of(w, s)))
-                .collect(),
-            None => cells.iter().map(|_| None).collect(),
-        };
-        let missing: Vec<(usize, usize)> = cells
+        let keys: Vec<ReportKey> = cells
             .iter()
-            .zip(&reports)
-            .filter(|(_, cached)| cached.is_none())
-            .map(|(&cell, _)| cell)
-            .collect();
-        let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(w, s)| {
-            run_cell(lab.workload(w), &self.systems[s], &self.exp, &self.sys)
-        });
-        let mut computed_iter = computed.into_iter();
-        for (slot, &(w, s)) in reports.iter_mut().zip(&cells) {
-            if slot.is_none() {
-                let report = computed_iter.next().expect("one report per missing cell");
-                if let Some(store) = store {
-                    if let Err(e) = store.save(&key_of(w, s), &report.to_canonical_bytes()) {
-                        eprintln!(
-                            "[report-store] failed to persist cell ({}, {}): {e}",
-                            lab.spec(w).name,
-                            self.systems[s].name()
-                        );
-                    }
-                }
-                *slot = Some(report);
-            }
-        }
-        let mut rows: Vec<GridRow> = (0..lab.len())
-            .map(|w| GridRow {
-                workload: lab.spec(w).name.to_string(),
-                reports: Vec::with_capacity(self.systems.len()),
+            .map(|&(r, s)| {
+                report_key_cell(
+                    &rows[r],
+                    lab.exp().seed,
+                    &self.systems[s],
+                    &self.exp,
+                    &self.sys,
+                    ExecMode::Coupled,
+                )
             })
             .collect();
-        for ((w, _), report) in cells.into_iter().zip(reports) {
-            rows[w].reports.push(report.expect("every cell resolved"));
+        let store = lab.report_store();
+        let mut reports: Vec<Option<SimReport>> = keys
+            .iter()
+            .map(|key| store.and_then(|store| load_cached_report(store, key)))
+            .collect();
+        let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
+        let mut need = vec![false; rows.len()];
+        for &i in &missing {
+            need[cells[i].0] = true;
         }
+        let programs = lab.cell_programs(&rows, &need, threads);
+        let computed = par::map(&missing, threads, |_, &i| {
+            let (r, s) = cells[i];
+            let programs = programs[r]
+                .as_ref()
+                .expect("programs for a row with a missing cell");
+            run_cell(programs, &self.systems[s], &self.exp, &self.sys)
+        });
+        for (&i, report) in missing.iter().zip(computed) {
+            if let Some(store) = store {
+                if let Err(e) = store.save(&keys[i], &report.to_canonical_bytes()) {
+                    let (r, s) = cells[i];
+                    eprintln!(
+                        "[report-store] failed to persist cell ({}, {}): {e}",
+                        rows[r].name(),
+                        self.systems[s].name()
+                    );
+                }
+            }
+            reports[i] = Some(report);
+        }
+        let mut reports = reports.into_iter().map(|r| r.expect("every cell resolved"));
+        let rows = rows
+            .iter()
+            .map(|row| GridRow {
+                workload: row.name(),
+                reports: reports.by_ref().take(self.systems.len()).collect(),
+            })
+            .collect();
         GridResults {
             systems: self.systems.clone(),
             rows,
@@ -1069,10 +978,10 @@ impl ExperimentGrid {
     }
 }
 
-/// One workload's reports, in grid system order.
+/// One row's reports, in grid system order.
 #[derive(Clone, Debug)]
 pub struct GridRow {
-    /// Workload display name.
+    /// Row display name ([`CellWorkload::name`]).
     pub workload: String,
     /// One report per system, in [`GridResults::systems`] order.
     pub reports: Vec<SimReport>,
@@ -1176,9 +1085,9 @@ mod tests {
 
     #[test]
     fn run_cell_produces_report() {
-        let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
+        let programs = CellPrograms::build(&WorkloadSpec::tiny_test().into(), 3);
         let sys = SystemConfig::single_core();
-        let r = run_cell(&w, &SystemKind::NextLine.into(), &tiny_exp(), &sys);
+        let r = run_cell(&programs, &SystemKind::NextLine.into(), &tiny_exp(), &sys);
         assert_eq!(r.total_retired(), tiny_exp().instructions);
         assert!(r.aggregate_ipc() > 0.0);
     }
@@ -1484,31 +1393,131 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Canonical report bytes of every cell, row by row.
+    fn bytes(results: &GridResults) -> Vec<Vec<Vec<u8>>> {
+        results
+            .rows
+            .iter()
+            .map(|row| {
+                row.reports
+                    .iter()
+                    .map(SimReport::to_canonical_bytes)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn grid_report_store_warm_start_is_all_hits() {
+        // One grid over a homogeneous row, a mix row, and a degenerate mix
+        // of the homogeneous row's spec, which keys and runs as that row.
         let dir =
             std::env::temp_dir().join(format!("tifs-engine-report-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let spec = WorkloadSpec::tiny_test();
         let grid = ExperimentGrid::new(tiny_exp())
-            .with_system_config(SystemConfig::single_core())
+            .with_system_config(SystemConfig {
+                num_cores: 2,
+                ..SystemConfig::table2()
+            })
+            .workloads([
+                CellWorkload::Homogeneous(spec.clone()),
+                CellWorkload::Mix(vec![spec.clone(), spec.clone().with_duty_cycle(0.5)]),
+                CellWorkload::Mix(vec![spec.clone(), spec.clone()]),
+            ])
             .systems([SystemKind::NextLine, SystemKind::TifsVirtualized]);
         let mk = || {
-            Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp())
+            Lab::build(vec![spec.clone()], tiny_exp())
                 .with_report_store(ReportStore::new(&dir).expect("store dir"))
         };
         let cold_lab = mk();
-        let cold = grid.run_on(&cold_lab);
+        let cold = bytes(&grid.run_on(&cold_lab));
         let s = cold_lab.report_store().unwrap().stats();
-        assert_eq!((s.hits, s.misses, s.writes), (0, 2, 2));
+        assert_eq!((s.hits, s.misses, s.writes), (0, 6, 6));
         let warm_lab = mk();
-        let warm = grid.run_on(&warm_lab);
+        let warm = bytes(&grid.run_on(&warm_lab));
         let s = warm_lab.report_store().unwrap().stats();
-        assert_eq!((s.hits, s.misses, s.writes), (2, 0, 0));
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        assert_eq!((s.hits, s.misses, s.writes), (6, 0, 0));
+        assert_eq!(cold, warm);
         // The store is a pure cache: a storeless lab agrees exactly.
-        let plain = grid.run_on(&Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp()));
-        assert_eq!(format!("{plain:?}"), format!("{warm:?}"));
+        let plain = bytes(&grid.run_on(&Lab::build(vec![spec.clone()], tiny_exp())));
+        assert_eq!(plain, warm);
+        assert_eq!(
+            warm[2], warm[0],
+            "a degenerate mix runs as its homogeneous row"
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mix_cells_report_store_warm_start_is_all_hits() {
+        // The fleet_mix path: a lab that holds no workloads builds every
+        // shape its rows name, and the store serves the cells warm.
+        let dir =
+            std::env::temp_dir().join(format!("tifs-engine-mix-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let grid = ExperimentGrid::new(tiny_exp())
+            .with_system_config(SystemConfig {
+                num_cores: 2,
+                ..SystemConfig::table2()
+            })
+            .workloads([
+                CellWorkload::Homogeneous(WorkloadSpec::tiny_test()),
+                CellWorkload::Mix(vec![
+                    WorkloadSpec::tiny_test(),
+                    WorkloadSpec::tiny_test().with_duty_cycle(0.5),
+                ]),
+            ])
+            .systems([SystemKind::NextLine, SystemKind::TifsVirtualized]);
+        let mk = || {
+            Lab::build(Vec::new(), tiny_exp())
+                .with_report_store(ReportStore::new(&dir).expect("store dir"))
+        };
+        let cold_lab = mk();
+        let cold = bytes(&grid.run_on(&cold_lab));
+        let s = cold_lab.report_store().unwrap().stats();
+        assert_eq!((s.hits, s.misses, s.writes), (0, 4, 4));
+        let warm_lab = mk();
+        let warm = bytes(&grid.run_on(&warm_lab));
+        let s = warm_lab.report_store().unwrap().stats();
+        assert_eq!((s.hits, s.misses, s.writes), (4, 0, 0));
+        assert_eq!(cold, warm);
+        // The store is a pure cache: a storeless lab agrees exactly.
+        let plain = bytes(&grid.run_on(&Lab::build(Vec::new(), tiny_exp())));
+        assert_eq!(plain, warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rows_the_lab_holds_walk_its_images() {
+        let lab = Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp());
+        let rows = [
+            WorkloadSpec::tiny_test().into(),
+            CellWorkload::Mix(vec![
+                WorkloadSpec::tiny_test().with_duty_cycle(0.5),
+                WorkloadSpec::tiny_server(),
+            ]),
+        ];
+        let programs = lab.cell_programs(&rows, &[true, true], 2);
+        let image = &lab.workload(0).program;
+        let held = programs[0].as_ref().unwrap();
+        assert!(held.workload_for_core(0).program.shares_image(image));
+        let mix = programs[1].as_ref().unwrap();
+        assert!(mix.workload_for_core(0).program.shares_image(image));
+        assert!(!mix.workload_for_core(1).program.shares_image(image));
+        assert!(lab.cell_programs(&rows, &[false, true], 2)[0].is_none());
+    }
+
+    #[test]
+    fn declared_rows_run_on_a_lab_holding_other_workloads() {
+        let grid = ExperimentGrid::new(tiny_exp())
+            .with_system_config(SystemConfig::single_core())
+            .workloads([WorkloadSpec::tiny_server()])
+            .systems([SystemKind::NextLine]);
+        let on_lab = grid.run_on(&Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp()));
+        assert_eq!(on_lab.len(), 1);
+        assert_eq!(on_lab.row(0).workload(), WorkloadSpec::tiny_server().name);
+        assert_eq!(format!("{on_lab:?}"), format!("{:?}", grid.run()));
     }
 
     #[test]
@@ -1568,63 +1577,20 @@ mod tests {
             &CellWorkload::Mix(vec![spec.clone(), spec.clone()]),
             exp.seed,
         );
-        let mix = run_cell_mix(&programs, &system, &exp, &sys);
-        let legacy = run_cell(&Workload::build(&spec, exp.seed), &system, &exp, &sys);
+        let mix = run_cell(&programs, &system, &exp, &sys);
+        // The homogeneous reference, built here rather than through
+        // `run_cell`: every core walks the one workload.
+        let workload = Workload::build(&spec, exp.seed);
+        let streams = (0..sys.num_cores)
+            .map(|c| Box::new(workload.walker(c)) as Box<dyn Iterator<Item = FetchRecord>>)
+            .collect();
+        let pf = build_prefetcher(&system, &workload, &sys, exp.seed);
+        let legacy =
+            Cmp::new(sys.clone(), streams, pf).run_with_warmup(exp.warmup, exp.instructions);
         assert_eq!(
             mix.to_canonical_bytes(),
             legacy.to_canonical_bytes(),
-            "a degenerate mix must reproduce the legacy cell byte for byte"
+            "a degenerate mix must reproduce the homogeneous cell byte for byte"
         );
-    }
-
-    #[test]
-    fn mix_cells_report_store_warm_start_is_all_hits() {
-        let dir =
-            std::env::temp_dir().join(format!("tifs-engine-mix-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sys = SystemConfig::table2();
-        sys.num_cores = 2;
-        let cells = [
-            CellWorkload::Homogeneous(WorkloadSpec::tiny_test()),
-            CellWorkload::Mix(vec![
-                WorkloadSpec::tiny_test(),
-                WorkloadSpec::tiny_test().with_duty_cycle(0.5),
-            ]),
-        ];
-        let systems = [
-            SystemSpec::Kind(SystemKind::NextLine),
-            SystemSpec::Kind(SystemKind::TifsVirtualized),
-        ];
-        let mk = || {
-            Lab::build(Vec::new(), tiny_exp())
-                .with_report_store(ReportStore::new(&dir).expect("store dir"))
-        };
-        let cold_lab = mk();
-        let cold = run_mix_cells(&cold_lab, &sys, &cells, &systems, 2);
-        let s = cold_lab.report_store().unwrap().stats();
-        assert_eq!((s.hits, s.misses, s.writes), (0, 4, 4));
-        let warm_lab = mk();
-        let warm = run_mix_cells(&warm_lab, &sys, &cells, &systems, 2);
-        let s = warm_lab.report_store().unwrap().stats();
-        assert_eq!((s.hits, s.misses, s.writes), (4, 0, 0));
-        // The store is a pure cache: a storeless lab agrees exactly.
-        let plain = run_mix_cells(
-            &Lab::build(Vec::new(), tiny_exp()),
-            &sys,
-            &cells,
-            &systems,
-            2,
-        );
-        for (rows, other) in [(&cold, &warm), (&plain, &warm)] {
-            for (row, other_row) in rows.iter().zip(other.iter()) {
-                for (report, other_report) in row.iter().zip(other_row.iter()) {
-                    assert_eq!(
-                        report.to_canonical_bytes(),
-                        other_report.to_canonical_bytes()
-                    );
-                }
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -63,7 +63,7 @@ use tifs_core::{entries_per_core_for_kb, ImlStorage, MetadataOrg, TifsConfig};
 use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{CellWorkload, WorkloadSpec};
 
-use crate::engine::{run_mix_cells, Lab, SystemSpec};
+use crate::engine::{ExperimentGrid, Lab, SystemSpec};
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
@@ -243,7 +243,6 @@ pub fn run_grid_with_threads(
         num_cores: cores,
         ..SystemConfig::table2()
     };
-    let threads = threads.unwrap_or_else(crate::engine::par::parallelism);
     // Rows: scenario × flush. Columns: budget × organization.
     let rows: Vec<(String, bool, CellWorkload)> = scenarios
         .iter()
@@ -262,20 +261,21 @@ pub fn run_grid_with_threads(
                 .map(move |org| (kb, org, system_for(org, kb, cores)))
         })
         .collect();
-    let cells: Vec<CellWorkload> = rows.iter().map(|(_, _, c)| c.clone()).collect();
-    let systems: Vec<SystemSpec> = columns.iter().map(|(_, _, s)| s.clone()).collect();
-    let reports = run_mix_cells(lab, &sys, &cells, &systems, threads);
+    let mut grid = ExperimentGrid::new(*lab.exp())
+        .with_system_config(sys)
+        .workloads(rows.iter().map(|(_, _, cell)| cell.clone()))
+        .systems(columns.iter().map(|(_, _, s)| s.clone()));
+    if let Some(n) = threads {
+        grid = grid.threads(n);
+    }
+    let results = grid.run_on(lab);
     let mut out = Vec::with_capacity(rows.len() * columns.len());
-    for ((scenario, flush, _), row) in rows.iter().zip(&reports) {
-        for (kb, org, _) in &columns {
-            let report = &row[columns
-                .iter()
-                .position(|(ckb, corg, _)| ckb == kb && corg == org)
-                .expect("column in grid")];
-            let private = &row[columns
-                .iter()
-                .position(|(ckb, corg, _)| ckb == kb && *corg == MetadataOrg::PrivatePerCore)
-                .expect("private baseline in grid")];
+    for ((scenario, flush, _), row) in rows.iter().zip(results.iter_rows()) {
+        for (kb, org, spec) in &columns {
+            let report = row.report(spec.clone()).expect("cell in grid");
+            let private = row
+                .report(system_for(MetadataOrg::PrivatePerCore, *kb, cores))
+                .expect("private baseline in grid");
             let base_ipc = private.aggregate_ipc();
             let sum = |f: fn(&tifs_sim::stats::CoreStats) -> u64| {
                 report.cores.iter().map(|c| f(c) as f64).sum::<f64>()

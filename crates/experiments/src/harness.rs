@@ -20,65 +20,42 @@ pub struct ExpConfig {
 }
 
 impl Default for ExpConfig {
-    /// Default budgets follow the `TIFS_SCALE` profile knob:
-    ///
-    /// * `step` (or unset) — 2M measured + 2M warmup instructions per
-    ///   core, one notch toward the paper's full-scale methodology.
-    ///   The measured budget deliberately equals
-    ///   [`CALIBRATION_INSTRUCTIONS`](crate::calibration::CALIBRATION_INSTRUCTIONS),
-    ///   so a default `calibrate` run checks the Table I bands at
-    ///   exactly the scale default experiments run at.
-    /// * `base` — the historical 1M/1M budgets.
-    ///
-    /// Anything that must stay pinned across profiles (goldens, CI
-    /// evaluation runs, benches) passes explicit budgets and never sees
-    /// this knob.
+    /// 2M measured + 2M warmup instructions per core at seed 42. The
+    /// measured budget equals
+    /// [`CALIBRATION_INSTRUCTIONS`](crate::calibration::CALIBRATION_INSTRUCTIONS),
+    /// so a default `calibrate` run checks the Table I bands at exactly
+    /// the scale default experiments run at. Goldens, CI evaluation runs
+    /// and benches pass explicit budgets.
     fn default() -> Self {
-        let (instructions, warmup) = match std::env::var("TIFS_SCALE").as_deref() {
-            Ok("base") => (1_000_000, 1_000_000),
-            _ => (2_000_000, 2_000_000),
-        };
         ExpConfig {
-            instructions,
-            warmup,
+            instructions: 2_000_000,
+            warmup: 2_000_000,
             seed: 42,
         }
     }
 }
 
 impl ExpConfig {
-    /// Parses `--instructions N`, `--warmup N`, `--seed N` from argv;
-    /// unknown arguments are ignored so binaries can add their own.
-    pub fn from_args() -> ExpConfig {
+    /// Parses `--instructions N`, `--warmup N` and `--seed N` (or `-n`,
+    /// `-w`, `-s`) over the defaults; `_` may separate digits. An unknown
+    /// flag, a flag without a value and an unparsable number are errors.
+    pub fn parse(args: &[String]) -> Result<ExpConfig, String> {
         let mut cfg = ExpConfig::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            let value = || args[i + 1].replace('_', "").parse::<u64>();
-            match args[i].as_str() {
-                "--instructions" | "-n" => {
-                    if let Ok(v) = value() {
-                        cfg.instructions = v;
-                    }
-                }
-                "--warmup" | "-w" => {
-                    if let Ok(v) = value() {
-                        cfg.warmup = v;
-                    }
-                }
-                "--seed" | "-s" => {
-                    if let Ok(v) = value() {
-                        cfg.seed = v;
-                    }
-                }
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            }
-            i += 2;
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let field = match flag.as_str() {
+                "--instructions" | "-n" => &mut cfg.instructions,
+                "--warmup" | "-w" => &mut cfg.warmup,
+                "--seed" | "-s" => &mut cfg.seed,
+                _ => return Err(format!("unknown argument `{flag}`")),
+            };
+            let value = args.next().ok_or(format!("`{flag}` needs a value"))?;
+            *field = value
+                .replace('_', "")
+                .parse()
+                .map_err(|_| format!("`{flag}` takes a whole number, not `{value}`"))?;
         }
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -183,6 +160,58 @@ mod tests {
     use super::*;
     use crate::engine::{build_prefetcher, SystemSpec};
     use tifs_trace::workload::WorkloadSpec;
+
+    fn parse(args: &[&str]) -> Result<ExpConfig, String> {
+        ExpConfig::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_accepts_every_flag_form() {
+        let cfg = parse(&[]).unwrap();
+        assert_eq!(
+            (cfg.instructions, cfg.warmup, cfg.seed),
+            (2_000_000, 2_000_000, 42)
+        );
+        let cfg = parse(&[
+            "--instructions",
+            "60_000",
+            "--warmup",
+            "7",
+            "--seed",
+            "1729",
+        ])
+        .unwrap();
+        assert_eq!((cfg.instructions, cfg.warmup, cfg.seed), (60_000, 7, 1729));
+        let cfg = parse(&["-s", "3", "-n", "1_000_000", "-w", "0"]).unwrap();
+        assert_eq!((cfg.instructions, cfg.warmup, cfg.seed), (1_000_000, 0, 3));
+    }
+
+    #[test]
+    fn parse_rejects_bad_flags_instead_of_keeping_the_default() {
+        for (args, error) in [
+            (
+                &["--instrutions", "60000"][..],
+                "unknown argument `--instrutions`",
+            ),
+            (&["60000"][..], "unknown argument `60000`"),
+            (&["--warmup"][..], "`--warmup` needs a value"),
+            (&["-n", "60k"][..], "`-n` takes a whole number, not `60k`"),
+            (
+                &["--seed", "-1"][..],
+                "`--seed` takes a whole number, not `-1`",
+            ),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn default_budget_is_the_calibration_budget() {
+        assert_eq!(
+            ExpConfig::default().instructions,
+            crate::calibration::CALIBRATION_INSTRUCTIONS
+        );
+    }
 
     #[test]
     fn all_system_kinds_build() {

@@ -320,7 +320,7 @@ impl ResultsSink {
 }
 
 /// Writes `report` through the environment-selected sink, logging where
-/// it landed (the binaries' one-line integration point).
+/// it landed (the driver's one-line integration point).
 pub fn publish(report: &StructuredReport) {
     if let Some(sink) = ResultsSink::from_env() {
         match sink.write(report) {

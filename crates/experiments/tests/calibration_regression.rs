@@ -1,93 +1,35 @@
 //! Calibration regression: the synthetic workloads are pinned against
-//! the paper's Table I target *shapes* with explicit tolerances, at the
-//! `calibrate` binary's default scale (2M instructions, core 0). The
+//! the paper's Table I target *shapes* with explicit tolerances, at
+//! `tifs calibrate`'s default scale (2M instructions, core 0). The
 //! generators are fully deterministic, so any parameter retune or
 //! generator change that moves a workload out of its band fails loudly
 //! here instead of silently skewing every downstream figure.
 //!
-//! The bands themselves live in [`tifs_experiments::calibration`] — one
-//! source shared with the `calibrate` binary, which exits nonzero on
-//! the same drift this suite fails on. When retuning specs (ROADMAP:
-//! drift vs. the paper's targets), move the bands *with* the retune, in
-//! the same commit, deliberately.
+//! The measurement and the bands live in
+//! [`tifs_experiments::calibration`] — one source shared with `tifs
+//! calibrate`, which exits nonzero on the same drift this suite fails
+//! on. When retuning specs (ROADMAP: drift vs. the paper's targets),
+//! move the bands *with* the retune, in the same commit, deliberately.
 
 use tifs_experiments::calibration::{self, Measurement, CALIBRATION_INSTRUCTIONS};
 use tifs_experiments::engine::Lab;
 use tifs_experiments::harness::ExpConfig;
-use tifs_sequitur::categorize::{categorize, CategoryCounts};
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
-use tifs_sequitur::streams::stream_occurrences;
-use tifs_sequitur::LengthCdf;
-use tifs_sim::{miss_trace_with_model, SystemConfig};
-use tifs_trace::filter::collapse_sequential;
 
-/// The `calibrate` binary's default instruction budget (the scale the
-/// shared bands are pinned at).
-const INSTRUCTIONS: u64 = CALIBRATION_INSTRUCTIONS;
-
-/// One workload's measured calibration statistics.
-#[derive(Debug)]
-struct Measured {
-    name: String,
-    text_kb: u64,
-    miss_per_1k: f64,
-    repetitive: f64,
-    median_len: usize,
-    recent_cov: f64,
-    misses: usize,
-}
-
-/// Measures exactly what the `calibrate` binary reports, per workload —
-/// once per process: the generators are deterministic, and both tests in
-/// this suite read the same statistics, so the expensive 2M-instruction
-/// pass is shared instead of repeated.
-fn measure() -> &'static [Measured] {
-    static MEASURED: std::sync::OnceLock<Vec<Measured>> = std::sync::OnceLock::new();
-    MEASURED.get_or_init(measure_uncached)
-}
-
-fn measure_uncached() -> Vec<Measured> {
-    let exp = ExpConfig {
-        instructions: INSTRUCTIONS,
-        ..ExpConfig::default()
-    };
-    let cfg = SystemConfig::table2();
-    let lab = Lab::all_six(exp);
-    lab.analyze(|ctx| {
-        let records = ctx.workload().walker(0).take(INSTRUCTIONS as usize);
-        let (miss, model) = miss_trace_with_model(records, &cfg);
-        let trace: Vec<u64> = miss.iter().map(|b| b.0).collect();
-        let counts = CategoryCounts::from_classes(&categorize(&trace));
-        let collapsed: Vec<u64> = collapse_sequential(&miss).iter().map(|b| b.0).collect();
-        let cdf = LengthCdf::from_occurrences(&stream_occurrences(&collapsed));
-        let recent = evaluate_heuristic(&trace, &HeuristicConfig::new(Heuristic::Recent));
-        let (_acc, misses) = model.totals();
-        Measured {
-            name: ctx.spec().name.to_string(),
-            text_kb: ctx.workload().program.text_bytes() / 1024,
-            miss_per_1k: 1000.0 * misses as f64 / INSTRUCTIONS as f64,
-            repetitive: counts.repetitive_fraction(),
-            median_len: cdf.quantile(0.5).unwrap_or(0),
-            recent_cov: recent.coverage(),
-            misses: trace.len(),
-        }
+/// The statistics `tifs calibrate` reports, per workload — measured once
+/// per process: the generators are deterministic, and both tests in this
+/// suite read the same statistics, so the expensive 2M-instruction pass
+/// is shared instead of repeated.
+fn measure() -> &'static [Measurement] {
+    static MEASURED: std::sync::OnceLock<Vec<Measurement>> = std::sync::OnceLock::new();
+    MEASURED.get_or_init(|| {
+        Lab::all_six(ExpConfig::default())
+            .analyze(|ctx| calibration::measure(ctx.workload(), CALIBRATION_INSTRUCTIONS))
     })
 }
 
 #[test]
 fn workload_statistics_stay_in_table1_bands() {
-    let measured: Vec<Measurement> = measure()
-        .iter()
-        .map(|m| Measurement {
-            name: m.name.clone(),
-            text_kb: m.text_kb,
-            miss_per_1k: m.miss_per_1k,
-            repetitive: m.repetitive,
-            median_len: m.median_len,
-            recent_cov: m.recent_cov,
-        })
-        .collect();
-    let failures = calibration::check_bands(&measured);
+    let failures = calibration::check_bands(measure());
     assert!(
         failures.is_empty(),
         "calibration drifted out of its Table I bands (retune deliberately, \

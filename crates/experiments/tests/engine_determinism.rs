@@ -8,7 +8,7 @@ use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_experiments::sink::{self, ResultsSink};
 use tifs_sim::config::SystemConfig;
 use tifs_trace::store::{ReportStore, TraceStore};
-use tifs_trace::workload::WorkloadSpec;
+use tifs_trace::workload::{CellPrograms, WorkloadSpec};
 
 fn exp() -> ExpConfig {
     ExpConfig {
@@ -187,7 +187,7 @@ fn report_store_cold_equals_warm_byte_identically() {
     let plain_files = write_results(&plain, "plain");
     assert_eq!(plain_files, warm_files);
     let direct = run_cell(
-        plain.workload(0),
+        &CellPrograms::build(&WorkloadSpec::tiny_test().into(), exp().seed),
         &SystemSpec::Kind(SystemKind::NextLine),
         &exp(),
         &SystemConfig::single_core(),

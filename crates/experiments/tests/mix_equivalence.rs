@@ -1,10 +1,10 @@
 //! Mix-axis equivalence and flush-recovery properties:
 //!
-//! * **degenerate mixes are the legacy engine** — a `Mix` whose
+//! * **degenerate mixes are the homogeneous engine** — a `Mix` whose
 //!   positions are all one spec must produce *byte-identical* reports
-//!   to the homogeneous [`run_cell`] path, across seeds, core counts,
-//!   copy counts, and systems (the mix axis must cost nothing when it
-//!   measures nothing);
+//!   to a CMP whose every core walks one built [`Workload`], across
+//!   seeds, core counts, copy counts, and systems (the mix axis must
+//!   cost nothing when it measures nothing);
 //! * **flush-off cells bill nothing** — without context switches the
 //!   flush/refill counters stay exactly zero;
 //! * **refill windows open and close** — under context switching, a
@@ -14,16 +14,36 @@
 //!   bounded fraction of the run instead of absorbing it.
 
 use proptest::prelude::*;
-use tifs_experiments::engine::{run_cell, run_cell_mix, SystemSpec};
+use tifs_experiments::engine::{build_prefetcher, run_cell, SystemSpec};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
+use tifs_sim::cmp::Cmp;
 use tifs_sim::config::SystemConfig;
+use tifs_sim::stats::SimReport;
 use tifs_trace::workload::{CellPrograms, CellWorkload, Workload, WorkloadSpec};
+use tifs_trace::FetchRecord;
 
 fn cmp_sys(cores: usize) -> SystemConfig {
     SystemConfig {
         num_cores: cores,
         ..SystemConfig::table2()
     }
+}
+
+/// The homogeneous reference, independent of [`run_cell`]: every core
+/// walks one built workload.
+fn homogeneous(
+    spec: &WorkloadSpec,
+    system: &SystemSpec,
+    exp: &ExpConfig,
+    sys: &SystemConfig,
+) -> SimReport {
+    let workload = Workload::build(spec, exp.seed);
+    let streams = (0..sys.num_cores)
+        .map(|c| Box::new(workload.walker(c)) as Box<dyn Iterator<Item = FetchRecord>>)
+        .collect();
+    let pf = build_prefetcher(system, &workload, sys, exp.seed);
+    let mut cmp = Cmp::new(sys.clone(), streams, pf);
+    cmp.run_with_warmup(exp.warmup, exp.instructions)
 }
 
 proptest! {
@@ -46,8 +66,8 @@ proptest! {
         });
         let cell = CellWorkload::Mix(vec![spec.clone(); copies]);
         let programs = CellPrograms::build(&cell, seed);
-        let mix = run_cell_mix(&programs, &system, &exp, &sys);
-        let legacy = run_cell(&Workload::build(&spec, seed), &system, &exp, &sys);
+        let mix = run_cell(&programs, &system, &exp, &sys);
+        let legacy = homogeneous(&spec, &system, &exp, &sys);
         prop_assert!(
             mix.to_canonical_bytes() == legacy.to_canonical_bytes(),
             "a {}-copy degenerate mix diverged from the homogeneous cell \
@@ -63,7 +83,7 @@ proptest! {
         let exp = ExpConfig { instructions, warmup: 500, seed };
         let sys = cmp_sys(1);
         let report = run_cell(
-            &Workload::build(&WorkloadSpec::tiny_test(), seed),
+            &CellPrograms::build(&WorkloadSpec::tiny_test().into(), seed),
             &SystemSpec::Kind(SystemKind::TifsVirtualized),
             &exp,
             &sys,
@@ -95,7 +115,7 @@ proptest! {
         let exp = ExpConfig { instructions: 40_000, warmup: 2_000, seed };
         let sys = cmp_sys(1);
         let report = run_cell(
-            &Workload::build(&spec, seed),
+            &CellPrograms::build(&spec.into(), seed),
             &SystemSpec::Kind(SystemKind::TifsVirtualized),
             &exp,
             &sys,

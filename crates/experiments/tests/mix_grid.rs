@@ -13,7 +13,7 @@
 //!   the cold run's (and the storeless golden run's: the store is a
 //!   pure cache).
 
-use tifs_experiments::engine::{build_cell_programs, Lab};
+use tifs_experiments::engine::Lab;
 use tifs_experiments::figures::fig_mix::{self, MixCell};
 use tifs_experiments::harness::ExpConfig;
 use tifs_experiments::sink;
@@ -181,7 +181,14 @@ fn default_mix_rows_share_one_image_per_program_shape() {
             [cell, with_flush]
         })
         .collect();
-    let rows = build_cell_programs(&cells, &vec![true; cells.len()], 42, 2);
+    let lab = Lab::build(
+        Vec::new(),
+        ExpConfig {
+            seed: 42,
+            ..small_exp()
+        },
+    );
+    let rows = lab.cell_programs(&cells, &vec![true; cells.len()], 2);
     let slots: Vec<&Workload> = rows
         .iter()
         .flat_map(|row| row.as_ref().expect("every row is needed").slots())

@@ -17,7 +17,7 @@ use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
 use tifs_experiments::engine::{report_key, report_key_cell, run_cell, ExecMode, SystemSpec};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_sim::config::SystemConfig;
-use tifs_trace::workload::{CellWorkload, Workload, WorkloadSpec};
+use tifs_trace::workload::{CellPrograms, CellWorkload, WorkloadSpec};
 
 fn pin_exp() -> ExpConfig {
     ExpConfig {
@@ -324,10 +324,10 @@ fn pre_overhaul_report_bytes_are_unchanged() {
     let exp = byte_exp();
     let mut drifted = Vec::new();
     for pin in BYTE_PINS {
-        let workload = Workload::build(&(pin.spec)(), exp.seed);
+        let programs = CellPrograms::build(&(pin.spec)().into(), exp.seed);
         let system = (pin.system)();
         let sys = (pin.sys)();
-        let report = run_cell(&workload, &system, &exp, &sys);
+        let report = run_cell(&programs, &system, &exp, &sys);
         let fnv = fnv64(&report.to_canonical_bytes());
         if fnv != pin.fnv {
             drifted.push(format!(
@@ -351,17 +351,17 @@ fn byte_pins_reach_flush_retry_and_pool_paths() {
     // paths if the cells actually take them inside the pinned budget.
     let exp = byte_exp();
     let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-    let switching = Workload::build(&web_zeus_switching(), exp.seed);
+    let switching = CellPrograms::build(&web_zeus_switching().into(), exp.seed);
     let report = run_cell(&switching, &system, &exp, &SystemConfig::table2());
     assert!(
         report.cores.iter().all(|c| c.flushes > 0),
         "every core must context-switch inside the window"
     );
-    let workload = Workload::build(&WorkloadSpec::web_zeus(), exp.seed);
-    let report = run_cell(&workload, &system, &exp, &few_mshrs());
+    let programs = CellPrograms::build(&WorkloadSpec::web_zeus().into(), exp.seed);
+    let report = run_cell(&programs, &system, &exp, &few_mshrs());
     assert!(report.l2.mshr_rejects > 0, "6 MSHRs must reject requests");
     let report = run_cell(
-        &workload,
+        &programs,
         &shared_pool_2port_small(),
         &exp,
         &SystemConfig::table2(),

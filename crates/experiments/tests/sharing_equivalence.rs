@@ -26,7 +26,7 @@ use tifs_core::{ImlStorage, MetadataOrg, TifsConfig};
 use tifs_experiments::engine::{run_cell, SystemSpec};
 use tifs_experiments::harness::ExpConfig;
 use tifs_sim::config::SystemConfig;
-use tifs_trace::workload::{Workload, WorkloadSpec};
+use tifs_trace::workload::{CellPrograms, WorkloadSpec};
 
 fn cmp_sys(cores: usize) -> SystemConfig {
     SystemConfig {
@@ -90,7 +90,7 @@ fn run_pair_spec(
     storage: ImlStorage,
     org: MetadataOrg,
 ) -> (Vec<u8>, Vec<u8>) {
-    let workload = Workload::build(spec, seed);
+    let programs = CellPrograms::build(&spec.clone().into(), seed);
     let exp = ExpConfig {
         instructions,
         warmup,
@@ -99,8 +99,8 @@ fn run_pair_spec(
     let sys = cmp_sys(cores);
     let private = tifs_with(MetadataOrg::PrivatePerCore, storage);
     let shared = tifs_with(org, storage);
-    let a = run_cell(&workload, &private, &exp, &sys);
-    let b = run_cell(&workload, &shared, &exp, &sys);
+    let a = run_cell(&programs, &private, &exp, &sys);
+    let b = run_cell(&programs, &shared, &exp, &sys);
     (a.to_canonical_bytes(), b.to_canonical_bytes())
 }
 
@@ -215,7 +215,7 @@ proptest! {
 /// proptest cases above stay tiny for breadth; this one run is depth).
 #[test]
 fn paper_workload_degeneracies_hold_under_capacity_pressure() {
-    let workload = Workload::build(&WorkloadSpec::web_zeus(), 7);
+    let programs = CellPrograms::build(&WorkloadSpec::web_zeus().into(), 7);
     let exp = ExpConfig {
         instructions: 40_000,
         warmup: 40_000,
@@ -226,13 +226,13 @@ fn paper_workload_degeneracies_hold_under_capacity_pressure() {
         entries_per_core: 256,
     };
     let private = run_cell(
-        &workload,
+        &programs,
         &tifs_with(MetadataOrg::PrivatePerCore, storage),
         &exp,
         &sys,
     );
     let quota = run_cell(
-        &workload,
+        &programs,
         &tifs_with(MetadataOrg::shared_quota(0), storage),
         &exp,
         &sys,
@@ -245,7 +245,7 @@ fn paper_workload_degeneracies_hold_under_capacity_pressure() {
     // And the non-degenerate arms really are distinct content: the pool
     // repartitions capacity, the ports charge cross-core delay.
     let pool = run_cell(
-        &workload,
+        &programs,
         &tifs_with(MetadataOrg::shared_pool(0), storage),
         &exp,
         &sys,
@@ -260,7 +260,7 @@ fn paper_workload_degeneracies_hold_under_capacity_pressure() {
         "a pressured fully-shared pool must not silently equal private"
     );
     let ported = run_cell(
-        &workload,
+        &programs,
         &tifs_with(MetadataOrg::shared_quota(1), storage),
         &exp,
         &sys,

@@ -11,7 +11,7 @@
 //! * binaries (`src/bin/`) and test code may read the clock and the
 //!   environment freely;
 //! * lines mentioning a `TIFS_*` knob are auto-allowed: those are the
-//!   documented configuration surface (`TIFS_THREADS`, `TIFS_SCALE`, …)
+//!   documented configuration surface (`TIFS_THREADS`, `TIFS_RESULTS`, …)
 //!   and the knobs never feed simulated state;
 //! * anything else needs a reasoned `allow(wall-clock)` annotation.
 

@@ -15,7 +15,7 @@
 //!
 //! # Engine layout
 //!
-//! Symbols live in a generational arena ([`Arena`]): doubly-linked nodes
+//! Symbols live in a generational arena (`Arena`): doubly-linked nodes
 //! addressed by `u32` index, one guard node per rule, a free list for
 //! reuse, and a generation tag per slot that is bumped on every free so
 //! stale handles are detectable in debug builds. No per-node allocation

@@ -3,7 +3,7 @@
 //!
 //! Building a workload's per-core L1-I miss traces costs a full pass of
 //! the functional fetch model over millions of instructions, and a timing
-//! run ([`tifs_sim`]'s cycle-level CMP) costs far more again; the paper's
+//! run (`tifs_sim`'s cycle-level CMP) costs far more again; the paper's
 //! evaluation replays both over large (workload × system) grids. The
 //! stores make each of those a once-per-machine cost instead of a
 //! once-per-process cost:

@@ -485,6 +485,12 @@ pub enum CellWorkload {
     Mix(Vec<WorkloadSpec>),
 }
 
+impl From<WorkloadSpec> for CellWorkload {
+    fn from(spec: WorkloadSpec) -> CellWorkload {
+        CellWorkload::Homogeneous(spec)
+    }
+}
+
 impl CellWorkload {
     /// The spec core `core` executes.
     ///

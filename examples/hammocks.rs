@@ -145,7 +145,7 @@ fn main() {
         "\nThe data-dependent hammocks force FDIP to restart its exploration {} times;\n\
          TIFS follows the recorded miss sequence regardless of branch outcomes. In this\n\
          single-path toy both recover well — the full-scale contrast (where divergent\n\
-         paths compound) is Figure 13: `cargo run --release -p tifs-experiments --bin fig13`.",
+         paths compound) is Figure 13: `cargo run --release -p tifs-experiments --bin tifs -- fig13`.",
         fdip.prefetcher_counter("restarts").unwrap_or(0.0)
     );
 }

@@ -8,7 +8,7 @@ use tifs::experiments::harness::{ExpConfig, SystemKind};
 use tifs::sim::cmp::Cmp;
 use tifs::sim::config::SystemConfig;
 use tifs::sim::prefetch::IPrefetcher;
-use tifs::trace::workload::{Workload, WorkloadSpec};
+use tifs::trace::workload::{CellPrograms, Workload, WorkloadSpec};
 use tifs::trace::FetchRecord;
 
 fn cfg_small() -> ExpConfig {
@@ -21,8 +21,13 @@ fn cfg_small() -> ExpConfig {
 
 /// Runs a system on Web-Zeus, single core (fast, still misses plenty).
 fn run(kind: SystemKind) -> tifs::sim::stats::SimReport {
-    let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
-    run_cell(&w, &kind.into(), &cfg_small(), &SystemConfig::single_core())
+    let programs = CellPrograms::build(&WorkloadSpec::web_zeus().into(), 42);
+    run_cell(
+        &programs,
+        &kind.into(),
+        &cfg_small(),
+        &SystemConfig::single_core(),
+    )
 }
 
 #[test]
@@ -61,16 +66,16 @@ fn tifs_beats_fdip_on_oltp() {
     // This needs the paper's setting — the 4-core CMP (cross-core stream
     // sharing through the Index Table) and enough history for the IMLs to
     // train; short single-core runs favour the training-free FDIP.
-    let w = Workload::build(&WorkloadSpec::oltp_oracle(), 42);
+    let programs = CellPrograms::build(&WorkloadSpec::oltp_oracle().into(), 42);
     let cfg = ExpConfig {
         instructions: 600_000,
         warmup: 600_000,
         seed: 42,
     };
     let sys = SystemConfig::table2();
-    let base = run_cell(&w, &SystemKind::NextLine.into(), &cfg, &sys);
-    let fdip = run_cell(&w, &SystemKind::Fdip.into(), &cfg, &sys);
-    let tifs = run_cell(&w, &SystemKind::TifsVirtualized.into(), &cfg, &sys);
+    let base = run_cell(&programs, &SystemKind::NextLine.into(), &cfg, &sys);
+    let fdip = run_cell(&programs, &SystemKind::Fdip.into(), &cfg, &sys);
+    let tifs = run_cell(&programs, &SystemKind::TifsVirtualized.into(), &cfg, &sys);
     let sf = fdip.aggregate_ipc() / base.aggregate_ipc();
     let st = tifs.aggregate_ipc() / base.aggregate_ipc();
     assert!(
