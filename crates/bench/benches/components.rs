@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use tifs_bench::{bench_records, bench_symbols, bench_symbols_large, bench_workload};
+use tifs_bench::{bench_symbols, bench_symbols_large, bench_workload};
 use tifs_core::iml::{Iml, ENTRIES_PER_L2_BLOCK};
 use tifs_core::{FunctionalConfig, FunctionalTifs};
 use tifs_experiments::harness::walk_core;
 use tifs_sequitur::{LceIndex, Sequitur};
 use tifs_sim::bpred::HybridPredictor;
 use tifs_sim::cache::SetAssocCache;
-use tifs_trace::codec::{read_symbol_sections, read_trace, write_symbol_sections, write_trace};
+use tifs_trace::codec::{read_symbol_sections, write_symbol_sections};
 use tifs_trace::store::{TraceKey, TraceStore};
 use tifs_trace::{Addr, BlockAddr};
 
@@ -186,29 +186,6 @@ fn bench_walker(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let records = bench_records(100_000);
-    let mut encoded = Vec::new();
-    write_trace(&mut encoded, &records).expect("encode");
-    let mut g = c.benchmark_group("codec");
-    g.throughput(Throughput::Elements(records.len() as u64));
-    g.sample_size(20);
-    g.bench_function("encode", |b| {
-        b.iter_batched(
-            Vec::new,
-            |mut buf| {
-                write_trace(&mut buf, &records).expect("encode");
-                buf.len()
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("decode", |b| {
-        b.iter(|| read_trace(&mut encoded.as_slice()).expect("decode").len())
-    });
-    g.finish();
-}
-
 fn bench_functional_tifs(c: &mut Criterion) {
     let trace = bench_miss_trace_local();
     let mut g = c.benchmark_group("tifs");
@@ -281,7 +258,6 @@ criterion_group!(
     bench_iml,
     bench_bpred,
     bench_walker,
-    bench_codec,
     bench_trace_store,
     bench_functional_tifs
 );

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use tifs_experiments::engine::run_cell;
+use tifs_experiments::engine::{run_cell, Lab};
 use tifs_experiments::figures::{fig01, fig03, fig05, fig06, fig10, fig11, fig12, fig13, tables};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_sim::config::SystemConfig;
@@ -25,7 +25,13 @@ fn small() -> ExpConfig {
 fn bench_tables(c: &mut Criterion) {
     let mut g = c.benchmark_group("tables");
     g.sample_size(10);
-    g.bench_function("table1", |b| b.iter(|| tables::render_table1(42).len()));
+    let table1 = ExpConfig {
+        seed: 42,
+        ..ExpConfig::default()
+    };
+    g.bench_function("table1", |b| {
+        b.iter(|| tables::render_table1_on(&Lab::all_six(table1)).len())
+    });
     g.bench_function("table2", |b| b.iter(|| tables::render_table2().len()));
     g.finish();
 }
@@ -48,15 +54,19 @@ fn bench_trace_analyses(c: &mut Criterion) {
     let mut g = c.benchmark_group("analyses");
     g.sample_size(10);
     g.bench_function("fig03_categorization", |b| {
-        b.iter(|| fig03::run(&cfg).len())
+        b.iter(|| fig03::run_on(&Lab::all_six(cfg)).len())
     });
     g.bench_function("fig05_stream_lengths", |b| {
-        b.iter(|| fig05::run(&cfg).len())
+        b.iter(|| fig05::run_on(&Lab::all_six(cfg)).len())
     });
-    g.bench_function("fig06_heuristics", |b| b.iter(|| fig06::run(&cfg).len()));
-    g.bench_function("fig10_lookahead", |b| b.iter(|| fig10::run(&cfg).len()));
+    g.bench_function("fig06_heuristics", |b| {
+        b.iter(|| fig06::run_on(&Lab::all_six(cfg)).len())
+    });
+    g.bench_function("fig10_lookahead", |b| {
+        b.iter(|| fig10::run_on(&Lab::all_six(cfg)).len())
+    });
     g.bench_function("fig11_capacity_sweep", |b| {
-        b.iter(|| fig11::run(&cfg).len())
+        b.iter(|| fig11::run_on(&Lab::all_six(cfg)).len())
     });
     g.finish();
 }
@@ -65,7 +75,9 @@ fn bench_timing_studies(c: &mut Criterion) {
     let cfg = small();
     let mut g = c.benchmark_group("timing");
     g.sample_size(10);
-    g.bench_function("fig12_traffic", |b| b.iter(|| fig12::run(&cfg).len()));
+    g.bench_function("fig12_traffic", |b| {
+        b.iter(|| fig12::run_on(&Lab::all_six(cfg)).len())
+    });
     g.bench_function("fig13_one_workload_tifs", |b| {
         // Kernel of Figure 13: one TIFS timing run.
         let programs = CellPrograms::build(&WorkloadSpec::oltp_db2().into(), 42);
@@ -85,8 +97,12 @@ fn bench_full_pipelines(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("full");
     g.sample_size(10);
-    g.bench_function("fig01_pipeline", |b| b.iter(|| fig01::run(&cfg).len()));
-    g.bench_function("fig13_pipeline", |b| b.iter(|| fig13::run(&cfg).len()));
+    g.bench_function("fig01_pipeline", |b| {
+        b.iter(|| fig01::run_on(&Lab::all_six(cfg)).len())
+    });
+    g.bench_function("fig13_pipeline", |b| {
+        b.iter(|| fig13::run_on(&Lab::all_six(cfg)).len())
+    });
     g.finish();
 }
 

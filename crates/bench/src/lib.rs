@@ -3,25 +3,20 @@
 //! Run with `cargo bench -p tifs-bench`. Two suites:
 //!
 //! * `components` — throughput of the core data structures (SEQUITUR,
-//!   suffix array, caches, predictors, trace codec, the walker);
+//!   suffix array, caches, predictors, the walker, the trace store);
 //! * `figures` — the kernel of each paper table/figure at reduced scale
-//!   (the full regenerations are the `tifs-experiments` binaries).
+//!   (the full regenerations are subcommands of the `tifs` binary).
 
 #![forbid(unsafe_code)]
 
 use tifs_sim::config::SystemConfig;
 use tifs_sim::miss_trace::miss_trace;
 use tifs_trace::workload::{Workload, WorkloadSpec};
-use tifs_trace::{BlockAddr, FetchRecord};
+use tifs_trace::BlockAddr;
 
 /// A small but realistic workload fixture shared by the benches.
 pub fn bench_workload() -> Workload {
     Workload::build(&WorkloadSpec::web_zeus(), 42)
-}
-
-/// A committed instruction stream slice.
-pub fn bench_records(n: usize) -> Vec<FetchRecord> {
-    bench_workload().walker(0).take(n).collect()
 }
 
 /// An L1-I miss trace of roughly paper-like statistics.

@@ -94,11 +94,6 @@ impl<V> FillQueue<V> {
         self.entries.iter().any(|e| e.1 == block)
     }
 
-    /// The completion cycle of `block`, if in flight.
-    pub fn ready_of(&self, block: BlockAddr) -> Option<u64> {
-        self.entries.iter().find(|e| e.1 == block).map(|e| e.0)
-    }
-
     /// Inserts `block` completing at `ready`; replaces any existing entry
     /// for the same block (`HashMap::insert` upsert semantics).
     pub fn insert(&mut self, ready: u64, block: BlockAddr, value: V) {
@@ -555,7 +550,6 @@ mod tests {
         q.insert(10, BlockAddr(1), 1);
         q.insert(30, BlockAddr(1), 2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.ready_of(BlockAddr(1)), Some(30));
         assert_eq!(q.remove(BlockAddr(1)), Some((30, 2)));
         assert_eq!(q.remove(BlockAddr(1)), None);
     }

@@ -82,11 +82,6 @@ impl MetadataOrg {
         }
     }
 
-    /// Whether this is a shared organization.
-    pub fn is_shared(self) -> bool {
-        matches!(self, MetadataOrg::Shared { .. })
-    }
-
     /// Port ways the organization arbitrates (`0` = unlimited; private
     /// metadata is by definition un-arbitered).
     pub fn port_ways(self) -> usize {
@@ -256,8 +251,6 @@ mod tests {
         assert_eq!(MetadataOrg::PrivatePerCore.label(), "private");
         assert_eq!(MetadataOrg::shared_quota(2).label(), "shared-quota/w2");
         assert_eq!(MetadataOrg::shared_pool(0).label(), "shared-pool/w0");
-        assert!(!MetadataOrg::PrivatePerCore.is_shared());
-        assert!(MetadataOrg::shared_pool(1).is_shared());
         assert_eq!(MetadataOrg::PrivatePerCore.port_ways(), 0);
         assert_eq!(MetadataOrg::shared_quota(3).port_ways(), 3);
     }

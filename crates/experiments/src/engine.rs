@@ -64,6 +64,7 @@ use tifs_sim::config::SystemConfig;
 use tifs_sim::prefetch::{IPrefetcher, NullPrefetcher};
 use tifs_sim::stats::{SimReport, SIM_REPORT_LAYOUT_VERSION};
 use tifs_trace::codec::REPORT_VERSION;
+use tifs_trace::filter::to_symbols;
 use tifs_trace::store::{
     hash_workload_spec, Fingerprint, ReportKey, ReportStore, TraceKey, TraceStore,
 };
@@ -545,7 +546,6 @@ fn load_cached_report(store: &ReportStore, key: &ReportKey) -> Option<SimReport>
 /// and trace analyses ([`Lab::analyze`]).
 pub struct Lab {
     exp: ExpConfig,
-    specs: Vec<WorkloadSpec>,
     workloads: Vec<Workload>,
     traces: Vec<OnceLock<AnalysisTraces>>,
     store: Option<TraceStore>,
@@ -575,7 +575,6 @@ impl Lab {
         let traces = specs.iter().map(|_| OnceLock::new()).collect();
         Lab {
             exp,
-            specs,
             workloads,
             traces,
             store: None,
@@ -636,17 +635,17 @@ impl Lab {
 
     /// Number of workloads.
     pub fn len(&self) -> usize {
-        self.specs.len()
+        self.workloads.len()
     }
 
     /// Whether the lab holds no workloads.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.workloads.is_empty()
     }
 
     /// Spec of workload `i`.
     pub fn spec(&self, i: usize) -> &WorkloadSpec {
-        &self.specs[i]
+        &self.workloads[i].spec
     }
 
     /// Built workload `i`.
@@ -667,7 +666,11 @@ impl Lab {
         need: &[bool],
         threads: usize,
     ) -> Vec<Option<CellPrograms>> {
-        let held: Vec<CellWorkload> = self.specs.iter().cloned().map(CellWorkload::from).collect();
+        let held: Vec<CellWorkload> = self
+            .workloads
+            .iter()
+            .map(|w| CellWorkload::from(w.spec.clone()))
+            .collect();
         let needed = rows
             .iter()
             .zip(need)
@@ -706,7 +709,7 @@ impl Lab {
     fn walk_cores(&self, i: usize) -> AnalysisTraces {
         let key = TraceKey::for_section(
             &functional_section("miss_trace"),
-            &self.specs[i],
+            self.spec(i),
             self.exp.seed,
             self.exp.instructions,
             ANALYSIS_CORES,
@@ -734,7 +737,7 @@ impl Lab {
             if let Err(e) = store.save_blocks(&key, &misses) {
                 eprintln!(
                     "[trace-store] failed to persist {} miss traces: {e}",
-                    self.specs[i].name
+                    self.spec(i).name
                 );
             }
         }
@@ -742,14 +745,6 @@ impl Lab {
             misses,
             lookahead_marks,
         }
-    }
-
-    /// Miss traces of workload `i` as `u64` symbols for SEQUITUR.
-    pub fn symbol_traces(&self, i: usize) -> Vec<Vec<u64>> {
-        self.miss_traces(i)
-            .iter()
-            .map(|t| t.iter().map(|b| b.0).collect())
-            .collect()
     }
 
     /// Applies a per-workload analysis in parallel, preserving workload
@@ -760,7 +755,7 @@ impl Lab {
         R: Send,
         F: Fn(WorkloadCtx<'_>) -> R + Sync,
     {
-        par::map(&self.specs, par::parallelism(), |i, _| {
+        par::map(&self.workloads, par::parallelism(), |i, _| {
             f(WorkloadCtx {
                 lab: self,
                 index: i,
@@ -804,7 +799,7 @@ impl WorkloadCtx<'_> {
 
     /// Cached miss traces as SEQUITUR symbols.
     pub fn symbol_traces(&self) -> Vec<Vec<u64>> {
-        self.lab.symbol_traces(self.index)
+        self.miss_traces().iter().map(|t| to_symbols(t)).collect()
     }
 
     /// Core 0's lookahead marks, if the lab walked this workload's cores

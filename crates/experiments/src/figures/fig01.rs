@@ -7,7 +7,7 @@
 //! regression per workload as in the paper.
 
 use crate::engine::{ExperimentGrid, Lab};
-use crate::harness::{ExpConfig, SystemKind};
+use crate::harness::SystemKind;
 use crate::report::{linear_regression, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -37,12 +37,7 @@ impl OpportunityCurve {
 /// Coverage points swept (fractions of misses eliminated).
 pub const COVERAGES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-/// Runs the Figure 1 sweep for every Table I workload.
-pub fn run(cfg: &ExpConfig) -> Vec<OpportunityCurve> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (workloads built once, shared).
+/// Runs the Figure 1 sweep for the lab's workloads.
 pub fn run_on(lab: &Lab) -> Vec<OpportunityCurve> {
     let systems: Vec<SystemKind> = std::iter::once(SystemKind::NextLine)
         .chain(COVERAGES[1..].iter().map(|&p| SystemKind::Probabilistic(p)))

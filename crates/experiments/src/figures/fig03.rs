@@ -4,7 +4,6 @@
 use tifs_sequitur::categorize::{categorize, CategoryCounts};
 
 use crate::engine::Lab;
-use crate::harness::ExpConfig;
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -17,13 +16,8 @@ pub struct Categorization {
     pub counts: CategoryCounts,
 }
 
-/// Runs the Figure 3 analysis over all workloads (4 cores each).
-pub fn run(cfg: &ExpConfig) -> Vec<Categorization> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses).
+/// Runs the Figure 3 analysis over the lab's cached miss traces (4
+/// cores per workload).
 pub fn run_on(lab: &Lab) -> Vec<Categorization> {
     lab.analyze(|ctx| {
         let mut counts = CategoryCounts::default();

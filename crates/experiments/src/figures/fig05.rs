@@ -6,7 +6,6 @@ use tifs_sequitur::LengthCdf;
 use tifs_trace::filter::collapse_sequential;
 
 use crate::engine::Lab;
-use crate::harness::ExpConfig;
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
@@ -19,13 +18,7 @@ pub struct StreamLengths {
     pub cdf: LengthCdf,
 }
 
-/// Runs the Figure 5 analysis.
-pub fn run(cfg: &ExpConfig) -> Vec<StreamLengths> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses).
+/// Runs the Figure 5 analysis over the lab's cached miss traces.
 pub fn run_on(lab: &Lab) -> Vec<StreamLengths> {
     lab.analyze(|ctx| {
         let mut occurrences = Vec::new();

@@ -6,7 +6,6 @@ use tifs_sequitur::heuristics::{
 };
 
 use crate::engine::Lab;
-use crate::harness::ExpConfig;
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -19,14 +18,9 @@ pub struct HeuristicRow {
     pub coverage: Vec<f64>,
 }
 
-/// Runs the Figure 6 analysis.
-pub fn run(cfg: &ExpConfig) -> Vec<HeuristicRow> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses). Each core's trace gets one suffix index, which
-/// every heuristic's replay shares ([`evaluate_all`]).
+/// Runs the Figure 6 analysis over the lab's cached miss traces. Each
+/// core's trace gets one suffix index, which every heuristic's replay
+/// shares ([`evaluate_all`]).
 pub fn run_on(lab: &Lab) -> Vec<HeuristicRow> {
     lab.analyze(|ctx| {
         let mut sums = [HeuristicOutcome::default(); Heuristic::ALL.len()];

@@ -25,7 +25,7 @@
 //! [`CoreWalk::marks`]: crate::harness::CoreWalk::marks
 
 use crate::engine::{functional_section, Lab};
-use crate::harness::{walk_core, ExpConfig};
+use crate::harness::walk_core;
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -66,14 +66,9 @@ pub const LOOKAHEAD_MISSES: usize = 4;
 /// any change to the derivation).
 const STORE_SECTION: &str = "fig10_lookahead_v1";
 
-/// Runs the Figure 10 analysis (core 0's stream per workload).
-pub fn run(cfg: &ExpConfig) -> Vec<LookaheadDist> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (workloads built once, shared). When
-/// the lab has a persistent trace store, the marks are cached under their
-/// own section key, so warm runs skip the functional model entirely.
+/// Runs the Figure 10 analysis (core 0's stream per workload). When the
+/// lab has a persistent trace store, the marks are cached under their own
+/// section key, so warm runs skip the functional model entirely.
 pub fn run_on(lab: &Lab) -> Vec<LookaheadDist> {
     lab.analyze(|ctx| {
         let key = ctx.section_key(&functional_section(STORE_SECTION), 1);

@@ -4,7 +4,6 @@
 use tifs_core::{entries_per_core_for_kb, FunctionalConfig, FunctionalTifs};
 
 use crate::engine::{Lab, ANALYSIS_CORES};
-use crate::harness::ExpConfig;
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -21,13 +20,8 @@ pub struct CapacityCurve {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Runs the Figure 11 sweep (4 cores, shared index).
-pub fn run(cfg: &ExpConfig) -> Vec<CapacityCurve> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses).
+/// Runs the Figure 11 sweep (4 cores, shared index) over the lab's
+/// cached miss traces.
 pub fn run_on(lab: &Lab) -> Vec<CapacityCurve> {
     lab.analyze(|ctx| {
         let traces = ctx.miss_traces();

@@ -7,7 +7,7 @@
 //! system's L2 traffic (reads, fetches, writebacks).
 
 use crate::engine::{ExperimentGrid, Lab};
-use crate::harness::{ExpConfig, SystemKind};
+use crate::harness::SystemKind;
 use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
@@ -37,12 +37,7 @@ impl TrafficRow {
     }
 }
 
-/// Runs the Figure 12 measurement for all workloads.
-pub fn run(cfg: &ExpConfig) -> Vec<TrafficRow> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (workloads built once, shared).
+/// Runs the Figure 12 measurement for the lab's workloads.
 pub fn run_on(lab: &Lab) -> Vec<TrafficRow> {
     let grid = ExperimentGrid::new(*lab.exp())
         .systems([SystemKind::NextLine, SystemKind::TifsVirtualized]);

@@ -4,7 +4,7 @@
 //! extension baseline.
 
 use crate::engine::{ExperimentGrid, Lab};
-use crate::harness::{ExpConfig, SystemKind};
+use crate::harness::SystemKind;
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
@@ -27,12 +27,7 @@ impl SpeedupRow {
     }
 }
 
-/// Runs the Figure 13 comparison for all workloads.
-pub fn run(cfg: &ExpConfig) -> Vec<SpeedupRow> {
-    run_on(&Lab::all_six(*cfg))
-}
-
-/// As [`run`], on an existing lab (workloads built once, shared).
+/// Runs the Figure 13 comparison for the lab's workloads.
 pub fn run_on(lab: &Lab) -> Vec<SpeedupRow> {
     let grid = ExperimentGrid::new(*lab.exp())
         .systems(std::iter::once(SystemKind::NextLine).chain(SystemKind::figure13()));

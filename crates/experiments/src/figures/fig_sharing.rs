@@ -91,18 +91,13 @@ pub fn system_for(org: MetadataOrg, budget_kb: f64, cores: usize) -> SystemSpec 
 
 /// Runs the default study grid on a lab's workloads.
 pub fn run_on(lab: &Lab) -> Vec<SharingCell> {
-    run_grid(lab, &default_core_counts(), &default_budgets_kb())
+    run_grid_with_threads(lab, &default_core_counts(), &default_budgets_kb(), None)
 }
 
 /// Runs the study over explicit core counts and budgets (tests pin a
-/// reduced grid through here).
-pub fn run_grid(lab: &Lab, core_counts: &[usize], budgets_kb: &[f64]) -> Vec<SharingCell> {
-    run_grid_with_threads(lab, core_counts, budgets_kb, None)
-}
-
-/// As [`run_grid`], with an explicit worker count (`None` = machine
-/// parallelism / `TIFS_THREADS`). The determinism suite pins that every
-/// worker count produces byte-identical structured reports.
+/// reduced grid through here), with an explicit worker count (`None` =
+/// machine parallelism / `TIFS_THREADS`). The determinism suite pins that
+/// every worker count produces byte-identical structured reports.
 pub fn run_grid_with_threads(
     lab: &Lab,
     core_counts: &[usize],

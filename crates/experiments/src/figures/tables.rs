@@ -3,23 +3,12 @@
 use tifs_sim::config::SystemConfig;
 
 use crate::engine::Lab;
-use crate::harness::ExpConfig;
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
-/// Renders Table I: the synthetic workload suite, with the generated
-/// instruction footprints (the paper's table lists the commercial setups
-/// these mirror).
-pub fn render_table1(seed: u64) -> String {
-    let exp = ExpConfig {
-        seed,
-        ..ExpConfig::default()
-    };
-    render_table1_on(&Lab::all_six(exp))
-}
-
-/// As [`render_table1`], on an existing lab (workloads built once,
-/// shared).
+/// Renders Table I for the lab's workloads: the synthetic workload suite,
+/// with the generated instruction footprints (the paper's table lists the
+/// commercial setups these mirror).
 pub fn render_table1_on(lab: &Lab) -> String {
     let rows: Vec<Vec<String>> = (0..lab.len())
         .map(|i| {

@@ -146,15 +146,6 @@ pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWal
     walk
 }
 
-/// Converts per-core miss traces to `u64` symbol vectors for the
-/// SEQUITUR analyses.
-pub fn to_symbol_traces(traces: &[Vec<BlockAddr>]) -> Vec<Vec<u64>> {
-    traces
-        .iter()
-        .map(|t| t.iter().map(|b| b.0).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,9 +266,6 @@ mod tests {
                 );
                 assert_eq!(walk.marks, marks_per_record(w, c, n), "{name} core {c}");
             }
-            let traces: Vec<Vec<BlockAddr>> = walks.into_iter().map(|w| w.misses).collect();
-            let syms = to_symbol_traces(&traces);
-            assert_eq!(syms[0].len(), traces[0].len());
         }
     }
 }

@@ -49,5 +49,5 @@ pub mod report;
 pub mod sink;
 
 pub use engine::{run_cell, ExperimentGrid, GridResults, Lab, SystemSpec};
-pub use harness::{to_symbol_traces, walk_core, ExpConfig, SystemKind};
+pub use harness::{walk_core, ExpConfig, SystemKind};
 pub use sink::{ResultsSink, StructuredReport};

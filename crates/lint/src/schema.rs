@@ -106,8 +106,6 @@ const TARGETS: &[Target] = &[
         "L2Stats",
         &["SIM_REPORT_LAYOUT_VERSION"],
     ),
-    ct("crates/trace/src/codec.rs", "MAGIC"),
-    ct("crates/trace/src/codec.rs", "VERSION"),
     ct("crates/trace/src/codec.rs", "MISS_MAGIC"),
     ct("crates/trace/src/codec.rs", "MISS_TRACE_VERSION"),
     ct("crates/trace/src/codec.rs", "REPORT_MAGIC"),

@@ -1,4 +1,4 @@
-//! Baseline instruction and data prefetchers for the TIFS comparison.
+//! Baseline instruction prefetchers for the TIFS comparison.
 //!
 //! * [`fdip`] — Fetch-Directed Instruction Prefetching \[24\], the paper's
 //!   state-of-the-art comparison point, with its stated tuning adjustments;
@@ -6,11 +6,12 @@
 //!   baseline;
 //! * [`probabilistic`] — the coverage-parameterized oracle of Figure 1 and
 //!   the "Perfect" bound of Figure 13;
-//! * [`stride`] — the Table II stride data prefetcher;
 //! * [`buffer`] — the shared fully-associative prefetch buffer.
 //!
 //! All instruction prefetchers implement
 //! [`tifs_sim::prefetch::IPrefetcher`] and plug into the CMP timing model.
+//! Table II's stride data prefetcher has no counterpart: the timing model
+//! draws data-access latencies from each workload's synthetic profile.
 
 #![forbid(unsafe_code)]
 
@@ -18,10 +19,8 @@ pub mod buffer;
 pub mod discontinuity;
 pub mod fdip;
 pub mod probabilistic;
-pub mod stride;
 
 pub use buffer::PrefetchBuffer;
 pub use discontinuity::{DiscontinuityConfig, DiscontinuityPrefetcher};
 pub use fdip::{Fdip, FdipConfig};
 pub use probabilistic::ProbabilisticPrefetcher;
-pub use stride::StridePrefetcher;

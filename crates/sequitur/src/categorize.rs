@@ -23,7 +23,7 @@
 //! directly in the start rule never repeat with stable neighbours and are
 //! `NonRepetitive`.
 
-use crate::grammar::{Grammar, Sequitur};
+use crate::grammar::Sequitur;
 use crate::streams::walk_grammar;
 
 /// The category assigned to one miss of a trace (paper Figure 4).
@@ -122,13 +122,7 @@ impl CategoryCounts {
 pub fn categorize(trace: &[u64]) -> Vec<MissClass> {
     let mut s = Sequitur::with_capacity(trace.len());
     s.extend(trace.iter().copied());
-    categorize_grammar(&s.into_grammar())
-}
-
-/// Classifies the terminals generated by an existing grammar; the output is
-/// position-aligned with [`Grammar::expand`].
-pub fn categorize_grammar(grammar: &Grammar) -> Vec<MissClass> {
-    walk_grammar(grammar)
+    walk_grammar(&s.into_grammar())
         .class_codes
         .into_iter()
         .map(|code| match code {

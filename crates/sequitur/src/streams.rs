@@ -96,12 +96,7 @@ pub fn walk_grammar(grammar: &Grammar) -> GrammarWalk {
 pub fn stream_occurrences(trace: &[u64]) -> Vec<StreamOccurrence> {
     let mut s = Sequitur::with_capacity(trace.len());
     s.extend(trace.iter().copied());
-    stream_occurrences_grammar(&s.into_grammar())
-}
-
-/// As [`stream_occurrences`], but for a pre-built grammar.
-pub fn stream_occurrences_grammar(grammar: &Grammar) -> Vec<StreamOccurrence> {
-    walk_grammar(grammar).occurrences
+    walk_grammar(&s.into_grammar()).occurrences
 }
 
 /// A cumulative distribution over stream lengths, weighted by opportunity

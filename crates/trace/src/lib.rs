@@ -16,9 +16,10 @@
 //!   (OLTP on DB2/Oracle, DSS queries 2/17, Apache/Zeus web serving);
 //! * [`filter`] — block-sequence extraction and the sequential-collapse
 //!   transform of paper Figure 5;
-//! * [`codec`] — a compact varint binary trace format with a strict parser;
-//! * [`store`] — a content-addressed on-disk store persisting derived
-//!   traces (keyed by workload fingerprint) across runs.
+//! * [`codec`] — the checksummed entry formats of the stores: miss-trace
+//!   (`TIFM`) and report (`TIFR`) sections;
+//! * [`store`] — content-addressed on-disk stores persisting miss traces
+//!   and timing reports (keyed by input fingerprint) across runs.
 //!
 //! # Quickstart
 //!

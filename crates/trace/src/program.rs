@@ -25,7 +25,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::record::MemClass;
 use crate::types::{Addr, INSTR_BYTES};
 
 /// Identifier of a function within a [`Program`].
@@ -91,17 +90,6 @@ pub enum PlainMem {
     Load,
     /// A store instruction.
     Store,
-}
-
-impl PlainMem {
-    /// The trace-record class for this op with a drawn load latency class.
-    pub fn to_mem_class(self, load_class: MemClass) -> MemClass {
-        match self {
-            PlainMem::None => MemClass::None,
-            PlainMem::Load => load_class,
-            PlainMem::Store => MemClass::Store,
-        }
-    }
 }
 
 /// A function: a base address plus one op per instruction slot.

@@ -95,12 +95,6 @@ impl FetchRecord {
         }
     }
 
-    /// Returns `true` if this instruction is a taken control transfer (the
-    /// next instruction is at `branch.target` rather than `pc + 4`).
-    pub fn is_taken_branch(&self) -> bool {
-        self.branch.map(|b| b.taken).unwrap_or(false)
-    }
-
     /// The PC of the next sequential instruction.
     pub fn fall_through(&self) -> Addr {
         self.pc.add_instrs(1)
@@ -114,7 +108,7 @@ mod tests {
     #[test]
     fn plain_record() {
         let r = FetchRecord::plain(Addr(0x100));
-        assert!(!r.is_taken_branch());
+        assert!(r.branch.is_none());
         assert_eq!(r.fall_through(), Addr(0x104));
         assert_eq!(r.mem, MemClass::None);
     }
@@ -126,17 +120,5 @@ mod tests {
         assert!(MemClass::LoadMem.is_load());
         assert!(!MemClass::Store.is_load());
         assert!(!MemClass::None.is_load());
-    }
-
-    #[test]
-    fn taken_branch() {
-        let mut r = FetchRecord::plain(Addr(0));
-        r.branch = Some(BranchInfo {
-            kind: BranchKind::Conditional,
-            taken: true,
-            target: Addr(0x40),
-            inner_loop: false,
-        });
-        assert!(r.is_taken_branch());
     }
 }

@@ -29,12 +29,6 @@ impl Addr {
         BlockAddr(self.0 / BLOCK_BYTES)
     }
 
-    /// Byte offset within the containing cache block.
-    #[inline]
-    pub fn block_offset(self) -> u64 {
-        self.0 % BLOCK_BYTES
-    }
-
     /// The address `count` instructions after this one.
     #[inline]
     pub fn add_instrs(self, count: u64) -> Addr {
@@ -164,7 +158,6 @@ mod tests {
         assert_eq!(Addr(0).block(), BlockAddr(0));
         assert_eq!(Addr(63).block(), BlockAddr(0));
         assert_eq!(Addr(64).block(), BlockAddr(1));
-        assert_eq!(Addr(130).block_offset(), 2);
         assert_eq!(BlockAddr(3).base(), Addr(192));
     }
 

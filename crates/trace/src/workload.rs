@@ -492,18 +492,6 @@ impl From<WorkloadSpec> for CellWorkload {
 }
 
 impl CellWorkload {
-    /// The spec core `core` executes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty `Mix`.
-    pub fn spec_for_core(&self, core: usize) -> &WorkloadSpec {
-        match self {
-            CellWorkload::Homogeneous(spec) => spec,
-            CellWorkload::Mix(specs) => &specs[core % specs.len()],
-        }
-    }
-
     /// All mix positions (a single slot for `Homogeneous`).
     pub fn positions(&self) -> &[WorkloadSpec] {
         match self {

@@ -1,77 +1,14 @@
-//! Property-based tests for the trace substrate: codec round-trips,
-//! control-flow consistency, generator determinism, and the walker's
-//! runs against its record-at-a-time stream.
+//! Property-based tests for the trace substrate: control-flow
+//! consistency, generator determinism, and the walker's runs against its
+//! record-at-a-time stream.
 
 use proptest::prelude::*;
-use tifs_trace::codec::{read_trace, write_trace};
 use tifs_trace::exec::{ExecConfig, Step, Walker};
 use tifs_trace::filter::{block_transitions, collapse_sequential};
 use tifs_trace::workload::{Workload, WorkloadSpec};
-use tifs_trace::{Addr, BlockAddr, BranchInfo, BranchKind, FetchRecord, MemClass};
-
-fn arb_mem() -> impl Strategy<Value = MemClass> {
-    prop_oneof![
-        Just(MemClass::None),
-        Just(MemClass::LoadL1),
-        Just(MemClass::LoadL2),
-        Just(MemClass::LoadMem),
-        Just(MemClass::Store),
-    ]
-}
-
-fn arb_kind() -> impl Strategy<Value = BranchKind> {
-    prop_oneof![
-        Just(BranchKind::Conditional),
-        Just(BranchKind::Jump),
-        Just(BranchKind::Call),
-        Just(BranchKind::Return),
-    ]
-}
-
-prop_compose! {
-    fn arb_record()(
-        pc in 0u64..1u64 << 40,
-        mem in arb_mem(),
-        trap in any::<bool>(),
-        flush in any::<bool>(),
-        branch in proptest::option::of((arb_kind(), any::<bool>(), 0u64..1u64 << 40, any::<bool>())),
-    ) -> FetchRecord {
-        FetchRecord {
-            pc: Addr(pc & !3), // instruction-aligned
-            mem,
-            trap,
-            flush,
-            branch: branch.map(|(kind, taken, target, inner_loop)| BranchInfo {
-                kind,
-                taken,
-                target: Addr(target & !3),
-                inner_loop,
-            }),
-        }
-    }
-}
+use tifs_trace::{BlockAddr, FetchRecord};
 
 proptest! {
-    #[test]
-    fn codec_roundtrips_arbitrary_records(records in prop::collection::vec(arb_record(), 0..200)) {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &records).expect("encode");
-        let back = read_trace(&mut buf.as_slice()).expect("decode");
-        prop_assert_eq!(back, records);
-    }
-
-    #[test]
-    fn codec_rejects_any_truncation(records in prop::collection::vec(arb_record(), 1..50)) {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &records).expect("encode");
-        // Any strict prefix long enough to carry the header must fail
-        // rather than return wrong data.
-        let cut = buf.len() - 1;
-        if cut >= 16 {
-            prop_assert!(read_trace(&mut buf[..cut].as_ref()).is_err());
-        }
-    }
-
     #[test]
     fn collapse_drops_exactly_the_sequential_successors(blocks in prop::collection::vec(0u64..64, 0..100)) {
         // The transform is single-pass over *original* predecessors (the

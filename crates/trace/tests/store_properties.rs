@@ -83,7 +83,7 @@ proptest! {
         bad_magic[2] ^= 0x10;
         prop_assert!(matches!(
             read_symbol_sections(&mut bad_magic.as_slice(), Some(1)),
-            Err(CodecError::BadMagic(_))
+            Err(CodecError::BadMagic { .. })
         ));
         let mut bad_version = buf.clone();
         bad_version[5] ^= 0x01; // version is bytes 4..8

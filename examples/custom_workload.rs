@@ -1,6 +1,5 @@
 //! Building a custom workload: how a downstream user defines their own
-//! program shape, runs the TIFS pipeline on it, and inspects the trace
-//! codec round-trip.
+//! program shape and runs the TIFS pipeline on it.
 //!
 //! ```sh
 //! cargo run --release --example custom_workload
@@ -9,7 +8,6 @@
 use tifs::core::{FunctionalConfig, FunctionalTifs};
 use tifs::sim::config::SystemConfig;
 use tifs::sim::miss_trace::miss_trace;
-use tifs::trace::codec::{read_trace, write_trace};
 use tifs::trace::exec::DataProfile;
 use tifs::trace::workload::{Workload, WorkloadClass, WorkloadSpec};
 
@@ -53,22 +51,9 @@ fn main() {
         workload.program.num_functions()
     );
 
-    // Record a slice of the committed instruction stream and round-trip it
-    // through the binary trace codec.
-    let records: Vec<_> = workload.walker(0).take(200_000).collect();
-    let mut encoded = Vec::new();
-    write_trace(&mut encoded, &records).expect("encode");
-    println!(
-        "trace codec: {} records -> {} bytes ({:.2} B/record)",
-        records.len(),
-        encoded.len(),
-        encoded.len() as f64 / records.len() as f64
-    );
-    let decoded = read_trace(&mut encoded.as_slice()).expect("decode");
-    assert_eq!(decoded, records, "codec must round-trip exactly");
-
-    // Miss trace + functional TIFS coverage estimate (no timing).
-    let misses = miss_trace(records, &SystemConfig::table2());
+    // Miss trace of 200k instructions + functional TIFS coverage estimate
+    // (no timing).
+    let misses = miss_trace(workload.walker(0).take(200_000), &SystemConfig::table2());
     let mut functional = FunctionalTifs::new(1, FunctionalConfig::default());
     for &b in &misses {
         functional.process(0, b);

@@ -138,15 +138,16 @@ fn determinism_end_to_end() {
 fn opportunity_analysis_consistent_with_timing_coverage() {
     // The SEQUITUR opportunity bound must exceed what the hardware-like
     // TIFS achieves in the timing run (it is an upper bound).
-    use tifs::experiments::harness::{to_symbol_traces, walk_core};
+    use tifs::experiments::harness::walk_core;
     use tifs::sequitur::categorize::{categorize, CategoryCounts};
+    use tifs::trace::filter::to_symbols;
 
     let w = Workload::build(&WorkloadSpec::web_zeus(), 42);
-    let traces = to_symbol_traces(&[walk_core(&w, 0, 400_000).misses]);
+    let trace = to_symbols(&walk_core(&w, 0, 400_000).misses);
     // The timing run below warms for half its instructions before
     // measuring; compare against the categorization of the same warmed
     // window (the cold half is where Head/New misses concentrate).
-    let classes = categorize(&traces[0]);
+    let classes = categorize(&trace);
     let counts = CategoryCounts::from_classes(&classes[classes.len() / 2..]);
     let bound = counts.fractions()[0]; // opportunity fraction
 
