@@ -42,12 +42,47 @@ pub struct ImlEntry {
     pub svb_hit: bool,
 }
 
+/// Consecutive log entries returned by [`Iml::read_group`], borrowed from
+/// the log's slab: the entries in `head` and then those in `tail`, which
+/// is non-empty only when the group straddles the ring's wrap.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ImlGroup<'a> {
+    head: &'a [ImlEntry],
+    tail: &'a [ImlEntry],
+}
+
+impl<'a> ImlGroup<'a> {
+    /// Entries in the group.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// Returns `true` if the group holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries in log order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a ImlEntry> + 'a {
+        self.head.iter().chain(self.tail)
+    }
+}
+
+/// Groups are equal when they hold the same entries in the same order,
+/// wherever the ring's wrap splits them.
+impl PartialEq for ImlGroup<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
 /// A single core's instruction miss log: a flat ring over a power-of-two
 /// slab, indexed by absolute position. The retained window `[base,
 /// appended)` never exceeds the slab, so the entry for position `p`
 /// always lives at slot `p & mask` — appends are one slot write,
-/// [`Iml::evict_oldest`] is one pointer bump, and [`Iml::read_group`] is
-/// at most two contiguous copies (the group may straddle the wrap).
+/// [`Iml::evict_oldest`] is one pointer bump, and [`Iml::read_group`]
+/// borrows at most two contiguous runs of slots (the group may straddle
+/// the wrap).
 ///
 /// The slab starts small and doubles when the window fills it. A bounded
 /// log stops doubling at `capacity.next_power_of_two()` slots, so it
@@ -139,19 +174,19 @@ impl Iml {
     }
 
     /// Reads up to `n` consecutive entries starting at `pos` (one
-    /// virtualized group read). Returns fewer when the log ends or `pos`
-    /// has been overwritten.
-    pub fn read_group(&self, pos: u64, n: usize) -> Vec<ImlEntry> {
+    /// virtualized group read), borrowed from the log. Returns fewer when
+    /// the log ends, and none when `pos` has been overwritten.
+    pub fn read_group(&self, pos: u64, n: usize) -> ImlGroup<'_> {
         if !self.is_valid(pos) {
-            return Vec::new();
+            return ImlGroup::default();
         }
         let count = ((pos + n as u64).min(self.appended) - pos) as usize;
         let start = (pos & self.mask()) as usize;
         let first = count.min(self.buf.len() - start);
-        let mut out = Vec::with_capacity(count);
-        out.extend_from_slice(&self.buf[start..start + first]);
-        out.extend_from_slice(&self.buf[..count - first]);
-        out
+        ImlGroup {
+            head: &self.buf[start..start + first],
+            tail: &self.buf[..count - first],
+        }
     }
 
     /// Evicts the oldest retained entry, returning it (capacity
@@ -239,7 +274,11 @@ mod tests {
         for i in 0..5u64 {
             iml.append(BlockAddr(i), false);
         }
-        let g = iml.read_group(3, ENTRIES_PER_L2_BLOCK);
+        let g: Vec<ImlEntry> = iml
+            .read_group(3, ENTRIES_PER_L2_BLOCK)
+            .iter()
+            .copied()
+            .collect();
         assert_eq!(g.len(), 2);
         assert_eq!(g[0].block, BlockAddr(3));
         assert!(iml.read_group(99, 12).is_empty());

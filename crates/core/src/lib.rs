@@ -50,7 +50,9 @@ pub mod sharing;
 pub mod svb;
 
 pub use functional::{FunctionalConfig, FunctionalReport, FunctionalTifs};
-pub use iml::{entries_per_core_for_kb, Iml, ImlEntry, BITS_PER_ENTRY, ENTRIES_PER_L2_BLOCK};
+pub use iml::{
+    entries_per_core_for_kb, Iml, ImlEntry, ImlGroup, BITS_PER_ENTRY, ENTRIES_PER_L2_BLOCK,
+};
 pub use index::{ImlPtr, IndexKind, IndexTable};
 pub use prefetcher::{ImlStorage, TifsConfig, TifsPrefetcher};
 pub use sharing::{CapacityPartition, HistoryBuffers, MetadataOrg};

@@ -252,7 +252,7 @@ impl TifsPrefetcher {
         };
         let got = group.len() as u64;
         let s = self.svbs[core].stream_mut(sid);
-        s.fifo.extend(group);
+        s.fifo.extend(group.iter().copied());
         s.next_pos += got;
         s.data_ready = s.data_ready.max(data_ready);
         if port_delay > 0 {

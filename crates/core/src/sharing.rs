@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 
 use tifs_trace::BlockAddr;
 
-use crate::iml::{Iml, ImlEntry};
+use crate::iml::{Iml, ImlGroup};
 
 /// How the pooled history capacity of a [`MetadataOrg::Shared`]
 /// organization is divided among cores.
@@ -200,8 +200,8 @@ impl HistoryBuffers {
     }
 
     /// Reads up to `n` consecutive entries of `core`'s log starting at
-    /// `pos` (one virtualized group read).
-    pub fn read_group(&self, core: usize, pos: u64, n: usize) -> Vec<ImlEntry> {
+    /// `pos` (one virtualized group read), borrowed from the log.
+    pub fn read_group(&self, core: usize, pos: u64, n: usize) -> ImlGroup<'_> {
         self.imls[core].read_group(pos, n)
     }
 

@@ -1,6 +1,7 @@
 //! Old-vs-new equivalence for the arena IML: the flat ring must match
 //! the `VecDeque` log it replaced — every append position, every
-//! retained-window read, every eviction — and the shared-pool history
+//! retained-window read (borrowed from the ring, possibly split at its
+//! wrap), every eviction — and the shared-pool history
 //! organization must keep its PR 5 append-stamp semantics (the globally
 //! oldest entry across cores is the one evicted, in append order).
 
@@ -126,7 +127,7 @@ proptest! {
                 _ => {
                     let pos = model.appended.saturating_sub(rng.next() % 48) + rng.next() % 4;
                     prop_assert_eq!(
-                        ring.read_group(pos, ENTRIES_PER_L2_BLOCK),
+                        ring.read_group(pos, ENTRIES_PER_L2_BLOCK).iter().copied().collect::<Vec<_>>(),
                         model.read_group(pos, ENTRIES_PER_L2_BLOCK)
                     );
                 }
@@ -134,6 +135,44 @@ proptest! {
             prop_assert_eq!(ring.len(), model.entries.len());
             prop_assert_eq!(ring.next_pos(), model.appended);
             prop_assert_eq!(ring.is_empty(), model.entries.is_empty());
+        }
+    }
+
+    #[test]
+    fn borrowed_group_reads_match_the_model_everywhere(seed in 0u64..5_000, cap_choice in 0u8..4) {
+        // After every op, read a group of each size at every position
+        // from just below the retained window to just past its end. The
+        // small bounds wrap the ring every few appends, so groups split
+        // at the wrap; evictions and flushes move the window's start.
+        let capacity = [None, Some(12), Some(16), Some(20)][cap_choice as usize];
+        let mut rng = Rng(seed);
+        let mut ring = Iml::new(capacity);
+        let mut model = RefIml::new(capacity);
+        for step in 0..300 {
+            match rng.next() % 16 {
+                0 => {
+                    ring.clear();
+                    model.clear();
+                }
+                1..=3 => {
+                    prop_assert_eq!(ring.evict_oldest(), model.evict_oldest());
+                }
+                _ => {
+                    let block = BlockAddr(rng.next() % 1000);
+                    let hit = rng.next() & 1 == 0;
+                    prop_assert_eq!(ring.append(block, hit), model.append(block, hit));
+                }
+            }
+            for pos in model.base.saturating_sub(2)..model.appended + 2 {
+                for n in [1, 5, ENTRIES_PER_L2_BLOCK] {
+                    let group = ring.read_group(pos, n);
+                    let expect = model.read_group(pos, n);
+                    prop_assert_eq!(group.len(), expect.len(), "step {} pos {} n {}", step, pos, n);
+                    prop_assert_eq!(group.is_empty(), expect.is_empty());
+                    let got: Vec<ImlEntry> = group.iter().copied().collect();
+                    prop_assert_eq!(got, expect, "step {} pos {} n {}", step, pos, n);
+                }
+            }
         }
     }
 

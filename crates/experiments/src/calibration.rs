@@ -25,9 +25,10 @@ use tifs_sequitur::categorize::{categorize, CategoryCounts};
 use tifs_sequitur::heuristics::{evaluate_with_index, Heuristic, HeuristicConfig};
 use tifs_sequitur::streams::stream_occurrences;
 use tifs_sequitur::{LceIndex, LengthCdf};
-use tifs_sim::{miss_trace_with_model, SystemConfig};
 use tifs_trace::filter::collapse_sequential;
 use tifs_trace::workload::Workload;
+
+use crate::harness::walk_core;
 
 /// Target band for one workload, with explicit tolerances.
 #[derive(Debug)]
@@ -132,25 +133,32 @@ pub struct Measurement {
 }
 
 /// Measures `workload` on core 0 over its first `instructions`
-/// instructions through the Table II functional fetch model: the miss
-/// density, the Figure 3 categories, Figure 5's median stream length
-/// over the sequentially collapsed trace, and Figure 6's Recent and
-/// Opportunity coverage over one suffix index.
+/// instructions through the Table II functional fetch model
+/// ([`walk_core`]): the miss density, the Figure 3 categories, Figure 5's
+/// median stream length over the sequentially collapsed trace, and
+/// Figure 6's Recent and Opportunity coverage over one suffix index.
 pub fn measure(workload: &Workload, instructions: u64) -> Measurement {
-    let records = workload.walker(0).take(instructions as usize);
-    let (miss, model) = miss_trace_with_model(records, &SystemConfig::table2());
-    let trace: Vec<u64> = miss.iter().map(|b| b.0).collect();
+    let walk = walk_core(workload, 0, instructions);
+    let trace: Vec<u64> = walk.misses.iter().map(|b| b.0).collect();
     let counts = CategoryCounts::from_classes(&categorize(&trace));
-    let collapsed: Vec<u64> = collapse_sequential(&miss).iter().map(|b| b.0).collect();
+    let collapsed: Vec<u64> = collapse_sequential(&walk.misses)
+        .iter()
+        .map(|b| b.0)
+        .collect();
     let cdf = LengthCdf::from_occurrences(&stream_occurrences(&collapsed));
     let lce = LceIndex::new(&trace);
     let coverage = |h| evaluate_with_index(&trace, &lce, &HeuristicConfig::new(h)).coverage();
-    let (_accesses, misses) = model.totals();
+    let misses = trace.len() as u64;
+    let miss_rate = if walk.block_transitions == 0 {
+        0.0
+    } else {
+        misses as f64 / walk.block_transitions as f64
+    };
     Measurement {
         name: workload.spec.name.to_string(),
         text_kb: workload.program.text_bytes() / 1024,
         miss_per_1k: 1000.0 * misses as f64 / instructions as f64,
-        miss_rate: model.miss_rate(),
+        miss_rate,
         misses: trace.len(),
         repetitive: counts.repetitive_fraction(),
         opportunity: counts.fractions()[0],

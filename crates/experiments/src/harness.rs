@@ -116,11 +116,14 @@ pub struct CoreWalk {
     /// Figure 10's lookahead marks, one per miss: the number of
     /// conditional branches outside innermost loops executed before it.
     pub marks: Vec<u64>,
+    /// Block transitions the L1-I saw, hits and misses alike: the
+    /// denominator of the miss rate per access.
+    pub block_transitions: u64,
 }
 
 /// Walks the first `instructions` of core `core` through the Table II
-/// functional fetch model, recording its misses and their lookahead
-/// marks in one pass. [`Lab::miss_traces`](crate::engine::Lab::miss_traces)
+/// functional fetch model, recording its misses, their lookahead marks
+/// and its block transitions in one pass. [`Lab::miss_traces`](crate::engine::Lab::miss_traces)
 /// walks every analysis core with it, and Figure 10 reuses core 0's
 /// marks from that pass. The walk takes runs of plain ops whole
 /// ([`Walker::step`](tifs_trace::exec::Walker::step)); its misses and
@@ -143,6 +146,7 @@ pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWal
             branches += 1;
         }
     }
+    walk.block_transitions = model.totals().0;
     walk
 }
 
@@ -259,9 +263,11 @@ mod tests {
                 let name = &w.spec.name;
                 assert!(!walk.misses.is_empty(), "{name} core {c}");
                 let records = w.walker(c).take(n);
+                let (misses, model) = tifs_sim::miss_trace_with_model(records, &sys);
+                assert_eq!(walk.misses, misses, "{name} core {c}");
                 assert_eq!(
-                    walk.misses,
-                    tifs_sim::miss_trace(records, &sys),
+                    (walk.block_transitions, walk.misses.len() as u64),
+                    model.totals(),
                     "{name} core {c}"
                 );
                 assert_eq!(walk.marks, marks_per_record(w, c, n), "{name} core {c}");

@@ -268,11 +268,14 @@ pub fn read_symbol_sections<R: Read>(
 ) -> Result<Vec<Vec<u64>>, CodecError> {
     let body = read_frame(r, MISS_MAGIC, MISS_TRACE_VERSION, expected_key)?;
     let mut br = body.as_slice();
+    // Every section length and every symbol takes at least one body byte,
+    // so no count that fits the body reserves more slots than the body
+    // has bytes left, whatever the count claims.
     let n_sections = usize_count(read_varint(&mut br)?)?;
-    let mut out = Vec::with_capacity(n_sections.min(1 << 10));
+    let mut out = Vec::with_capacity(n_sections.min(br.len()));
     for _ in 0..n_sections {
         let n = usize_count(read_varint(&mut br)?)?;
-        let mut section = Vec::with_capacity(n.min(1 << 24));
+        let mut section = Vec::with_capacity(n.min(br.len()));
         let mut prev: u64 = 0;
         for _ in 0..n {
             let delta = unzigzag(read_varint(&mut br)?) as u64;
@@ -440,9 +443,9 @@ mod tests {
 
     #[test]
     fn hostile_section_count_is_corrupt() {
-        // `usize_count` converts with try_from, never `as`; the `1 << 10`
-        // clamp bounds the up-front allocation, and the missing sections
-        // surface as Corrupt.
+        // `usize_count` converts with try_from, never `as`; the body's
+        // remaining length bounds the up-front allocation, and the
+        // missing sections surface as Corrupt.
         let buf = hostile_entry(&[u64::MAX]);
         assert!(matches!(
             read_symbol_sections(&mut buf.as_slice(), Some(1)),
@@ -452,12 +455,34 @@ mod tests {
 
     #[test]
     fn hostile_section_length_is_corrupt() {
-        // As above for one section's length, under the `1 << 24` clamp.
+        // As above for one section's length.
         let buf = hostile_entry(&[1, u64::MAX]);
         assert!(matches!(
             read_symbol_sections(&mut buf.as_slice(), Some(1)),
             Err(CodecError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn decoded_sections_reserve_no_more_than_the_body_holds() {
+        let mut sections = sample_sections();
+        sections.push((0..5000).map(|i| i * 37 % 1021).collect());
+        let mut buf = Vec::new();
+        write_symbol_sections(&mut buf, 1, &sections).unwrap();
+        // The frame around the body: a 32-byte header and an 8-byte
+        // checksum.
+        let body = buf.len() - 40;
+        let back = read_symbol_sections(&mut buf.as_slice(), Some(1)).unwrap();
+        assert_eq!(back, sections);
+        assert!(back.capacity() <= body);
+        for (s, expect) in back.iter().zip(&sections) {
+            assert!(
+                s.capacity() <= body,
+                "capacity {} over {body} body bytes",
+                s.capacity()
+            );
+            assert!(s.capacity() >= expect.len());
+        }
     }
 
     #[test]

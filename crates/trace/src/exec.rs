@@ -19,22 +19,27 @@
 //! # Runs
 //!
 //! Most instructions are plain ops: not control transfers. The walker
-//! advances over them a *run* at a time. A run is the maximal stretch of
-//! consecutive plain ops in the current function, starting at the top
-//! frame's next instruction. It is capped so that neither the trap
-//! countdown nor the context-switch countdown expires inside it, so no
-//! instruction of a run carries a trap or a flush. When a run forms, the
-//! frame and both countdowns move past all of it at once. Everything else
-//! takes the one-instruction path: control ops, idle-loop instructions,
-//! the walk's first instruction, and an instruction at which a countdown
-//! reaches 0. A run's load classes are drawn in instruction order as its
-//! ops are taken, so they are exactly the draws a walk one instruction at
-//! a time makes.
+//! advances over them a *run* at a time. A run is the rest of the maximal
+//! stretch of consecutive plain ops in the current function, starting at
+//! the top frame's next instruction; a stretch longer than 65,535 ops is
+//! taken in pieces of at most that many. It is capped so that neither the
+//! trap countdown nor the context-switch countdown expires inside it, so
+//! no instruction of a run carries a trap or a flush. The program image
+//! records at each plain op how many ops and loads are left in its run,
+//! so a run forms from one op, and the frame and both countdowns move
+//! past all of it at once. Everything else takes the one-instruction
+//! path: control ops, idle-loop instructions, the walk's first
+//! instruction, and an instruction at which a countdown reaches 0. A
+//! run's load classes are drawn in instruction order as its ops are
+//! taken, so they are exactly the draws a walk one instruction at a time
+//! makes.
 //!
 //! One run state serves two views. [`Iterator::next`] emits the run one
 //! [`FetchRecord`] at a time; [`Walker::step`] hands over up to a given
 //! number of its ops as one [`Step::Run`], for consumers that need only
-//! the PCs. The two interleave freely and yield the same stream.
+//! the PCs. `step` decodes none of those ops: it reads their load count
+//! off the image and makes that many load-class draws. The two views
+//! interleave freely and yield the same stream.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -294,9 +299,13 @@ impl<'p> Walker<'p> {
             return Step::Instr(self.one_instruction());
         }
         let len = self.run.left.min(u32::try_from(max).unwrap_or(u32::MAX));
-        // Draw the loads' classes exactly as emitting the records would.
-        for pos in self.run.pos..self.run.pos + len as usize {
-            self.mem_class(self.program.plain_mem(pos));
+        // Draw the loads' classes exactly as emitting the records would:
+        // one draw per load, in order, and none for other plain ops.
+        let loads = self
+            .program
+            .plain_loads(self.run.pos..self.run.pos + len as usize);
+        for _ in 0..loads {
+            self.draw_load_class();
         }
         let pc = self.run.pc;
         self.run.advance(len);
@@ -857,6 +866,41 @@ mod tests {
                 }
                 assert_eq!(runs.instructions(), reference.instructions());
             }
+        }
+    }
+
+    /// `step` over stretches of plain ops too long for one run field
+    /// (taken in pieces) draws exactly the load classes the records
+    /// would carry, so a walker stepped over them and its twin emitting
+    /// them one record at a time stay in step.
+    #[test]
+    fn steps_over_long_stretches_keep_the_draws_in_step() {
+        let mut b = FunctionBuilder::new();
+        b.straight(3 * 0xFFFF + 10, PlainMem::Load);
+        let p = Program::new(vec![Function {
+            base: Addr(0x1000),
+            ops: b.finish(),
+        }]);
+        let config = ExecConfig {
+            data: DataProfile {
+                l1d_miss_rate: 0.5,
+                l2_hit_frac: 0.5,
+            },
+            ..ExecConfig::default()
+        };
+        let walker = || Walker::new(&p, TransactionMix::single(FuncId(0)), config.clone(), 3);
+        let (mut stepped, mut emitted) = (walker(), walker());
+        for max in [1, 7, 0xFFFF, u64::MAX, 5, 500_000] {
+            let until = stepped.instructions() + 250_000;
+            while stepped.instructions() < until {
+                stepped.step(max);
+            }
+        }
+        for _ in 0..stepped.instructions() {
+            emitted.next();
+        }
+        for n in 0..1000 {
+            assert_eq!(stepped.next(), emitted.next(), "record {n} after the steps");
         }
     }
 

@@ -163,6 +163,11 @@ const ARG_MASK: u64 = (1 << ARG_BITS) - 1;
 const KIND_MASK: u64 = 0b111;
 const INNER_LOOP: u64 = 1 << 3;
 const PROB_SHIFT: u32 = 32;
+/// Where a plain op keeps the ops and the loads left in its run.
+const RUN_SHIFT: u32 = 32;
+const LOADS_SHIFT: u32 = 48;
+/// The most ops one run field counts (each field is 16 bits wide).
+const RUN_MAX: u64 = 0xFFFF;
 
 const KIND_PLAIN: u64 = 0;
 const KIND_COND_BRANCH: u64 = 1;
@@ -176,6 +181,13 @@ const KIND_RETURN: u64 = 5;
 /// the direct callee id, the callee-set index, or a plain op's mem class.
 /// Bits 32..64 hold the `f32` bits of a conditional branch's taken
 /// probability, so the walker draws against exactly the generated value.
+///
+/// A plain op's bits 32..64 describe the run it starts: bits 32..48 hold
+/// the number of plain ops from it to the run's end, itself included,
+/// and bits 48..64 the loads among them. The run is the rest of the
+/// maximal stretch of consecutive plain ops in the function. A stretch
+/// longer than [`RUN_MAX`] ops is counted as pieces of at most `RUN_MAX`
+/// ops, cut from its end, and each op describes the rest of its piece.
 #[derive(Clone, Copy, Debug)]
 struct PackedOp(u64);
 
@@ -235,6 +247,30 @@ impl PackedOp {
             0 => PlainMem::None,
             1 => PlainMem::Load,
             _ => PlainMem::Store,
+        }
+    }
+
+    /// A plain op's count of run ops left, itself included.
+    fn run_left(self) -> u32 {
+        ((self.0 >> RUN_SHIFT) & RUN_MAX) as u32
+    }
+
+    /// A plain op's count of loads among its run ops left.
+    fn loads_left(self) -> u32 {
+        ((self.0 >> LOADS_SHIFT) & RUN_MAX) as u32
+    }
+}
+
+/// Records in each op of `stretch`, a maximal stretch of plain ops, the
+/// ops and the loads left in its run (see [`PackedOp`]), so a walk forms
+/// a run, and counts its loads, from one op.
+fn seal_stretch(stretch: &mut [PackedOp]) {
+    for piece in stretch.rchunks_mut(RUN_MAX as usize) {
+        let (mut left, mut loads) = (0, 0);
+        for op in piece.iter_mut().rev() {
+            left += 1;
+            loads += u64::from(op.plain_mem() == PlainMem::Load);
+            op.0 |= left << RUN_SHIFT | loads << LOADS_SHIFT;
         }
     }
 }
@@ -301,6 +337,8 @@ impl ImageBuilder {
         let end = u32::try_from(self.ops.len() + ops.len())
             .unwrap_or_else(|_| panic!("function {}: image ops do not fit a u32 index", id.0));
         let len = u32::try_from(ops.len()).expect("bounded by end");
+        // Start of the stretch of plain ops the next plain op extends.
+        let mut stretch = self.ops.len();
         for (j, op) in ops.iter().enumerate() {
             let packed = match op {
                 StaticOp::Plain { mem } => PackedOp::plain(*mem),
@@ -341,8 +379,13 @@ impl ImageBuilder {
                     id.0
                 );
             }
+            if !packed.is_plain() {
+                seal_stretch(&mut self.ops[stretch..]);
+                stretch = self.ops.len() + 1;
+            }
             self.ops.push(packed);
         }
+        seal_stretch(&mut self.ops[stretch..]);
         self.funcs.push(FuncEntry {
             base: base.0,
             first: end - len,
@@ -507,16 +550,40 @@ impl Program {
     }
 
     /// The image positions of the consecutive plain ops that start at
-    /// `at`: at most `max` of them, and none past the end of `at`'s
-    /// function. Empty when the op at `at` is not plain.
+    /// `at`: at most `max` of them, none past the end of `at`'s function,
+    /// and none past the end of the piece of at most 65,535 ops that `at`
+    /// lies in (see [`PackedOp`]). Empty when the op at `at` is not plain
+    /// or lies past the end of its function.
     #[inline]
     pub(crate) fn plain_run(&self, at: InstrRef, max: u32) -> Range<usize> {
         let image = &*self.image;
         let f = image.funcs[at.func.index()];
         let start = (f.first + at.idx) as usize;
-        let end = start + f.len.saturating_sub(at.idx).min(max) as usize;
-        let ops = &image.ops[start..end];
-        start..start + ops.iter().take_while(|op| op.is_plain()).count()
+        let len = if at.idx < f.len && image.ops[start].is_plain() {
+            image.ops[start].run_left().min(max)
+        } else {
+            0
+        };
+        start..start + len as usize
+    }
+
+    /// The number of loads among the plain ops at image positions `ops`,
+    /// which must lie within one range [`plain_run`](Self::plain_run)
+    /// returned.
+    #[inline]
+    pub(crate) fn plain_loads(&self, ops: Range<usize>) -> u32 {
+        let image = &*self.image;
+        let first = image.ops[ops.start];
+        let len = ops.len() as u32;
+        debug_assert!(first.is_plain() && len <= first.run_left());
+        // Both counts run to the same end, so their difference counts
+        // the loads in between.
+        let beyond = if len < first.run_left() {
+            image.ops[ops.end].loads_left()
+        } else {
+            0
+        };
+        first.loads_left() - beyond
     }
 
     /// The memory class of the plain op at image position `pos`, a
@@ -581,6 +648,13 @@ impl FunctionBuilder {
     /// Creates an empty builder.
     pub fn new() -> FunctionBuilder {
         FunctionBuilder { ops: Vec::new() }
+    }
+
+    /// Creates an empty builder with room for `ops` instructions.
+    pub(crate) fn with_capacity(ops: usize) -> FunctionBuilder {
+        FunctionBuilder {
+            ops: Vec::with_capacity(ops),
+        }
     }
 
     /// Current instruction count.
@@ -855,6 +929,103 @@ mod tests {
         // Reaching 2^28 sets through the appender would take 2^28 call
         // sites; the packing is what must refuse the index.
         PackedOp::call_indirect(1 << ARG_BITS);
+    }
+
+    /// The plain ops from `at` to the first non-plain op or the end of
+    /// the function, and the loads among them, counted op by op.
+    fn scan_run(p: &Program, at: InstrRef) -> (u32, u32) {
+        let (mut ops, mut loads) = (0, 0);
+        for idx in at.idx..p.function_len(at.func) {
+            match p.op(InstrRef { idx, ..at }) {
+                Op::Plain { mem } => {
+                    ops += 1;
+                    loads += u32::from(mem == PlainMem::Load);
+                }
+                _ => break,
+            }
+        }
+        (ops, loads)
+    }
+
+    /// The loads among ops `idx` of `func`, counted op by op.
+    fn count_loads(p: &Program, func: FuncId, idx: Range<u32>) -> u32 {
+        let load = Op::Plain {
+            mem: PlainMem::Load,
+        };
+        idx.filter(|&idx| p.op(InstrRef { func, idx }) == load)
+            .count() as u32
+    }
+
+    #[test]
+    fn run_fields_match_a_scan_in_the_table1_images() {
+        use crate::workload::{Workload, WorkloadSpec};
+        for seed in [42, 1729] {
+            for spec in WorkloadSpec::all_six() {
+                let p = Workload::build(&spec, seed).program;
+                for func in (0..p.num_functions() as u32).map(FuncId) {
+                    for idx in 0..p.function_len(func) {
+                        let at = InstrRef { func, idx };
+                        let (ops, loads) = scan_run(&p, at);
+                        let what = format!("{} seed {seed} {func:?} op {idx}", spec.name);
+                        let run = p.plain_run(at, u32::MAX);
+                        assert_eq!(run.len() as u32, ops, "{what}: run length");
+                        for max in [1, 3] {
+                            assert_eq!(
+                                p.plain_run(at, max),
+                                run.start..run.start + ops.min(max) as usize
+                            );
+                        }
+                        if ops == 0 {
+                            continue;
+                        }
+                        assert_eq!(p.plain_loads(run.clone()), loads, "{what}: loads");
+                        // A run taken in two steps counts each part.
+                        let half = ops / 2;
+                        let head = count_loads(&p, func, idx..idx + half);
+                        let mid = run.start + half as usize;
+                        if half > 0 {
+                            assert_eq!(p.plain_loads(run.start..mid), head, "{what}: head");
+                        }
+                        assert_eq!(p.plain_loads(mid..run.end), loads - head, "{what}: tail");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_stretches_count_in_pieces() {
+        // 3 pieces of RUN_MAX ops and 10 more, every third op a load,
+        // then a call, a short stretch and the return.
+        let total = 3 * RUN_MAX as u32 + 10;
+        let mut b = FunctionBuilder::new();
+        b.straight(total, PlainMem::Load);
+        b.call(FuncId(0));
+        b.straight(5, PlainMem::Load);
+        let p = Program::new(vec![Function {
+            base: Addr(0x1000),
+            ops: b.finish(),
+        }]);
+        let at = |idx| InstrRef {
+            func: FuncId(0),
+            idx,
+        };
+        for idx in [0, 1, 9, 10, 11, 10 + RUN_MAX as u32, total - 1, total + 1] {
+            let (ops, _) = scan_run(&p, at(idx));
+            // Pieces are cut from the stretch's end.
+            let piece = (ops - 1) % RUN_MAX as u32 + 1;
+            let run = p.plain_run(at(idx), u32::MAX);
+            assert_eq!(run.len() as u32, piece, "op {idx}");
+            let loads = count_loads(&p, FuncId(0), idx..idx + piece);
+            assert_eq!(p.plain_loads(run), loads, "op {idx}");
+        }
+        // Runs taken back to back cover the stretch exactly.
+        let mut idx = 0;
+        while idx < total {
+            idx += p.plain_run(at(idx), u32::MAX).len() as u32;
+        }
+        assert_eq!(idx, total);
+        assert!(p.plain_run(at(total), u32::MAX).is_empty(), "the call");
     }
 
     #[test]

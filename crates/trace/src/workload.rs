@@ -721,7 +721,10 @@ impl Builder {
     /// Emits a function body made of straight runs, small hammocks, and
     /// possibly an innermost loop; optional calls to pool functions.
     fn gen_body(&mut self, target_instrs: u32, callees: &[FuncId]) -> Vec<StaticOp> {
-        let mut b = FunctionBuilder::new();
+        // A body overshoots its target by at most one hammock or loop, a
+        // call and the return; reserving that up front spares the
+        // builder its regrowth (a longer body would only reallocate).
+        let mut b = FunctionBuilder::with_capacity(target_instrs as usize + 16);
         let mut emitted = 0u32;
         let mut callee_iter = callees.iter();
         let with_loop = self.rng.gen_bool(self.spec.inner_loop_prob);
