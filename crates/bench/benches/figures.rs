@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tifs_experiments::engine::{run_cell, Lab};
 use tifs_experiments::figures::{fig01, fig03, fig05, fig06, fig10, fig11, fig12, fig13, tables};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
+use tifs_experiments::sink;
 use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{CellPrograms, WorkloadSpec};
 
@@ -30,9 +31,11 @@ fn bench_tables(c: &mut Criterion) {
         ..ExpConfig::default()
     };
     g.bench_function("table1", |b| {
-        b.iter(|| tables::render_table1_on(&Lab::all_six(table1)).len())
+        b.iter(|| sink::to_text(&tables::structured_table1(&Lab::all_six(table1))).len())
     });
-    g.bench_function("table2", |b| b.iter(|| tables::render_table2().len()));
+    g.bench_function("table2", |b| {
+        b.iter(|| sink::to_text(&tables::structured_table2()).len())
+    });
     g.finish();
 }
 

@@ -13,11 +13,13 @@
 //! the trace analyses stream their miss traces back from disk and every
 //! timing cell's `SimReport` is served from the report store.
 //! `TIFS_STORE_MAX_BYTES` bounds each store with LRU GC, and
-//! `TIFS_THREADS` overrides the worker count. Each table and figure also
-//! writes a canonical JSON/CSV report (`TIFS_RESULTS`, default
-//! `results/`), byte-identical between cold and warm runs, and the run
-//! ends with one `[trace store]` and one `[report store]` line of store
-//! statistics.
+//! `TIFS_THREADS` overrides the worker count. Each table and figure
+//! prints its report as a table (`sink::to_text`) and writes it as
+//! canonical JSON/CSV (`TIFS_RESULTS`, default `results/`),
+//! byte-identical between cold and warm runs, and the run ends with one
+//! `[trace store]` and one `[report store]` line of store statistics.
+//! Wall-clock timings go to stderr, so stdout depends only on the
+//! subcommand, the budgets and the seed, apart from those two lines.
 //!
 //! `calibrate` exits 1 when a workload drifts out of its Table I band;
 //! bad arguments and unknown subcommands print the usage and exit 2.
@@ -33,7 +35,6 @@ use tifs_experiments::figures::{
     fig01, fig03, fig05, fig06, fig10, fig11, fig12, fig13, fig_mix, fig_sharing, tables,
 };
 use tifs_experiments::harness::{ExpConfig, SystemKind};
-use tifs_experiments::report::render_table;
 use tifs_experiments::sink::{self, Cell, StructuredReport};
 use tifs_trace::store::StoreStats;
 use tifs_trace::workload::WorkloadSpec;
@@ -64,46 +65,45 @@ type Command = (
 /// Every subcommand: its name, the workloads its lab builds, and its run.
 const COMMANDS: [Command; 15] = [
     ("all", WorkloadSpec::all_six, all),
-    ("table1", WorkloadSpec::all_six, table1),
+    // Table I's text footprints depend on the seed, so it heads the table.
+    ("table1", WorkloadSpec::all_six, |lab| {
+        budget_line(lab.exp());
+        table1(lab)
+    }),
     ("table2", Vec::new, table2),
     ("fig01", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig01::run_on, fig01::render, fig01::structured)
+        figure(lab, fig01::run_on, fig01::structured)
     }),
     ("fig03", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig03::run_on, fig03::render, fig03::structured)
+        figure(lab, fig03::run_on, fig03::structured)
     }),
     ("fig05", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig05::run_on, fig05::render, fig05::structured)
+        figure(lab, fig05::run_on, fig05::structured)
     }),
     ("fig06", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig06::run_on, fig06::render, fig06::structured)
+        figure(lab, fig06::run_on, fig06::structured)
     }),
     ("fig10", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig10::run_on, fig10::render, fig10::structured)
+        figure(lab, fig10::run_on, fig10::structured)
     }),
     ("fig11", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig11::run_on, fig11::render, fig11::structured)
+        figure(lab, fig11::run_on, fig11::structured)
     }),
     ("fig12", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig12::run_on, fig12::render, fig12::structured)
+        figure(lab, fig12::run_on, fig12::structured)
     }),
     ("fig13", WorkloadSpec::all_six, |lab| {
-        figure(lab, fig13::run_on, fig13::render, fig13::structured)
+        figure(lab, fig13::run_on, fig13::structured)
     }),
     ("sharing", WorkloadSpec::all_six, |lab| {
         study(lab, "metadata-sharing", |lab| {
-            figure(
-                lab,
-                fig_sharing::run_on,
-                fig_sharing::render,
-                fig_sharing::structured,
-            )
+            figure(lab, fig_sharing::run_on, fig_sharing::structured)
         })
     }),
     // The mix study's rows build their own programs, so its lab is empty.
     ("mix", Vec::new, |lab| {
         study(lab, "workload-mix", |lab| {
-            figure(lab, fig_mix::run_on, fig_mix::render, fig_mix::structured)
+            figure(lab, fig_mix::run_on, fig_mix::structured)
         })
     }),
     ("ablations", || vec![WorkloadSpec::oltp_db2()], ablations),
@@ -149,16 +149,19 @@ fn footer(store: &str, s: StoreStats, root: &Path) {
     );
 }
 
+/// Prints `report` as a table and publishes it.
+fn show(report: &StructuredReport) {
+    println!("{}", sink::to_text(report));
+    sink::publish(report);
+}
+
 /// Runs one figure on `lab`, prints its table and publishes its report.
 fn figure<T>(
     lab: &Lab,
     run_on: fn(&Lab) -> Vec<T>,
-    render: fn(&[T]) -> String,
     structured: fn(&[T]) -> StructuredReport,
 ) -> ExitCode {
-    let results = run_on(lab);
-    println!("{}", render(&results));
-    sink::publish(&structured(&results));
+    show(&structured(&run_on(lab)));
     ExitCode::SUCCESS
 }
 
@@ -175,19 +178,17 @@ fn study(lab: &Lab, name: &str, run: fn(&Lab) -> ExitCode) -> ExitCode {
     budget_line(lab.exp());
     let t = Instant::now();
     let code = run(lab);
-    println!("[{name} study done in {:.0}s]", t.elapsed().as_secs_f64());
+    eprintln!("[{name} study done in {:.0}s]", t.elapsed().as_secs_f64());
     code
 }
 
 fn table1(lab: &Lab) -> ExitCode {
-    println!("{}", tables::render_table1_on(lab));
-    sink::publish(&tables::structured_table1(lab));
+    show(&tables::structured_table1(lab));
     ExitCode::SUCCESS
 }
 
 fn table2(_: &Lab) -> ExitCode {
-    println!("{}", tables::render_table2());
-    sink::publish(&tables::structured_table2());
+    show(&tables::structured_table2());
     ExitCode::SUCCESS
 }
 
@@ -199,20 +200,17 @@ fn all(lab: &Lab) -> ExitCode {
     table1(lab);
     table2(lab);
     let t = Instant::now();
-    figure(lab, fig03::run_on, fig03::render, fig03::structured);
-    figure(lab, fig05::run_on, fig05::render, fig05::structured);
-    figure(lab, fig06::run_on, fig06::render, fig06::structured);
-    figure(lab, fig10::run_on, fig10::render, fig10::structured);
-    figure(lab, fig11::run_on, fig11::render, fig11::structured);
-    println!(
-        "[trace analyses done in {:.0}s]\n",
-        t.elapsed().as_secs_f64()
-    );
+    figure(lab, fig03::run_on, fig03::structured);
+    figure(lab, fig05::run_on, fig05::structured);
+    figure(lab, fig06::run_on, fig06::structured);
+    figure(lab, fig10::run_on, fig10::structured);
+    figure(lab, fig11::run_on, fig11::structured);
+    eprintln!("[trace analyses done in {:.0}s]", t.elapsed().as_secs_f64());
     let t = Instant::now();
-    figure(lab, fig01::run_on, fig01::render, fig01::structured);
-    figure(lab, fig12::run_on, fig12::render, fig12::structured);
-    figure(lab, fig13::run_on, fig13::render, fig13::structured);
-    println!("[timing studies done in {:.0}s]", t.elapsed().as_secs_f64());
+    figure(lab, fig01::run_on, fig01::structured);
+    figure(lab, fig12::run_on, fig12::structured);
+    figure(lab, fig13::run_on, fig13::structured);
+    eprintln!("[timing studies done in {:.0}s]", t.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }
 
@@ -226,10 +224,7 @@ fn all(lab: &Lab) -> ExitCode {
 ///   multiple in-flight streams, paper Section 5.2);
 /// * SVB and IML capacity.
 fn ablations(lab: &Lab) -> ExitCode {
-    println!(
-        "TIFS ablations on OLTP DB2 ({} instructions/core + warmup, 4 cores)\n",
-        lab.exp().instructions
-    );
+    budget_line(lab.exp());
     let dflt = TifsConfig::virtualized();
     let mut systems: Vec<SystemSpec> = vec![
         SystemKind::NextLine.into(),
@@ -280,7 +275,7 @@ fn ablations(lab: &Lab) -> ExitCode {
     let row = results.row(0);
     let base_ipc = row.ipc(SystemKind::NextLine);
 
-    let mut structured = StructuredReport::new(
+    let mut report = StructuredReport::new(
         "ablations",
         "TIFS design-space ablations on OLTP DB2",
         [
@@ -292,47 +287,21 @@ fn ablations(lab: &Lab) -> ExitCode {
             "iml_traffic",
         ],
     );
-    let rows: Vec<Vec<String>> = row
+    for (spec, r) in row
         .iter()
         .filter(|(spec, _)| **spec != SystemSpec::Kind(SystemKind::NextLine))
-        .map(|(spec, r)| {
-            let speedup = r.aggregate_ipc() / base_ipc;
-            let discards = r.prefetcher_counter("discards").unwrap_or(0.0);
-            let streams = r.prefetcher_counter("streams").unwrap_or(0.0);
-            structured.push_row(vec![
-                Cell::Text(spec.name()),
-                Cell::Num(speedup),
-                Cell::Num(r.coverage()),
-                Cell::Num(discards),
-                Cell::Num(streams),
-                Cell::from(r.l2.iml_traffic()),
-            ]);
-            vec![
-                spec.name(),
-                format!("{speedup:.3}"),
-                format!("{:.1}%", 100.0 * r.coverage()),
-                format!("{discards:.0}"),
-                format!("{streams:.0}"),
-                format!("{}", r.l2.iml_traffic()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "configuration",
-                "speedup",
-                "coverage",
-                "discards",
-                "streams",
-                "IML traffic"
-            ],
-            &rows
-        )
-    );
-    println!("\nbaseline (next-line only) IPC: {base_ipc:.3}");
-    sink::publish(&structured);
+    {
+        report.push_row(vec![
+            Cell::Text(spec.name()),
+            Cell::Num(r.aggregate_ipc() / base_ipc),
+            Cell::Num(r.coverage()),
+            Cell::Num(r.prefetcher_counter("discards").unwrap_or(0.0)),
+            Cell::Num(r.prefetcher_counter("streams").unwrap_or(0.0)),
+            Cell::from(r.l2.iml_traffic()),
+        ]);
+    }
+    report.push_note(format!("baseline (next-line only) IPC: {base_ipc:.3}"));
+    show(&report);
     ExitCode::SUCCESS
 }
 
@@ -348,7 +317,7 @@ fn calibrate(lab: &Lab) -> ExitCode {
         let measured = calibration::measure(ctx.workload(), n);
         (measured, t.elapsed().as_secs_f64())
     });
-    let mut structured = StructuredReport::new(
+    let mut report = StructuredReport::new(
         "calibrate",
         "Workload calibration summary vs. paper targets",
         [
@@ -365,20 +334,8 @@ fn calibrate(lab: &Lab) -> ExitCode {
         ],
     );
     for (m, secs) in &rows {
-        println!(
-            "{:12} text={:6}KB txn miss/1k-instr={:5.1} missrate={:5.3} misses={:7} rep={:5.3} opp={:5.3} medlen={:4} recent={:5.3} oppcov={:5.3}  [{secs:.1}s]",
-            m.name,
-            m.text_kb,
-            m.miss_per_1k,
-            m.miss_rate,
-            m.misses,
-            m.repetitive,
-            m.opportunity,
-            m.median_len,
-            m.recent_cov,
-            m.opportunity_cov,
-        );
-        structured.push_row(vec![
+        eprintln!("[{} calibrated in {secs:.1}s]", m.name);
+        report.push_row(vec![
             Cell::from(m.name.as_str()),
             Cell::from(m.text_kb),
             Cell::Num(m.miss_per_1k),
@@ -391,7 +348,7 @@ fn calibrate(lab: &Lab) -> ExitCode {
             Cell::Num(m.opportunity_cov),
         ]);
     }
-    sink::publish(&structured);
+    show(&report);
     if n != CALIBRATION_INSTRUCTIONS {
         println!(
             "calibration: band check skipped (bands are pinned at {CALIBRATION_INSTRUCTIONS} \

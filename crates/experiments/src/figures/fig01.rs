@@ -8,7 +8,6 @@
 
 use crate::engine::{ExperimentGrid, Lab};
 use crate::harness::SystemKind;
-use crate::report::{linear_regression, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// One workload's sweep.
@@ -93,27 +92,59 @@ pub fn structured(curves: &[OpportunityCurve]) -> StructuredReport {
     report
 }
 
-/// Renders the sweep as the paper's figure data.
-pub fn render(curves: &[OpportunityCurve]) -> String {
-    let mut headers = vec!["workload"];
-    let labels: Vec<String> = COVERAGES
+/// Ordinary least-squares fit `y = slope * x + intercept`; returns
+/// `(slope, intercept, r2)`.
+///
+/// # Panics
+///
+/// Panics if the series lengths differ or fewer than two points are given.
+fn linear_regression(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
+    assert_eq!(xs.len(), ys.len(), "series must align");
+    assert!(xs.len() >= 2, "need at least two points");
+    let n = xs.len() as f64;
+    let mx = xs.iter().sum::<f64>() / n;
+    let my = ys.iter().sum::<f64>() / n;
+    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let slope = if sxx == 0.0 { 0.0 } else { sxy / sxx };
+    let intercept = my - slope * mx;
+    let ss_tot: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
+    let ss_res: f64 = xs
         .iter()
-        .map(|c| format!("{:.0}%", c * 100.0))
-        .collect();
-    headers.extend(labels.iter().map(String::as_str));
-    headers.extend(["slope", "at-100%"]);
-    let rows: Vec<Vec<String>> = curves
-        .iter()
-        .map(|c| {
-            let mut row = vec![c.workload.clone()];
-            row.extend(c.points.iter().map(|&(_, s)| format!("{s:.3}")));
-            row.push(format!("{:.3}", c.slope));
-            row.push(format!("{:.3}", c.speedup_at_full_coverage()));
-            row
+        .zip(ys)
+        .map(|(x, y)| {
+            let e = y - (slope * x + intercept);
+            e * e
         })
-        .collect();
-    format!(
-        "Figure 1 — speedup over next-line prefetching vs. fraction of L1-I misses eliminated\n{}",
-        render_table(&headers, &rows)
-    )
+        .sum();
+    let r2 = if ss_tot == 0.0 {
+        1.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
+    (slope, intercept, r2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn regression_exact_line() {
+        let xs = [0.0, 1.0, 2.0, 3.0];
+        let ys = [1.0, 3.0, 5.0, 7.0];
+        let (m, b, r2) = linear_regression(&xs, &ys);
+        assert!((m - 2.0).abs() < 1e-12);
+        assert!((b - 1.0).abs() < 1e-12);
+        assert!((r2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn regression_flat() {
+        let xs = [0.0, 1.0, 2.0];
+        let ys = [5.0, 5.0, 5.0];
+        let (m, _, r2) = linear_regression(&xs, &ys);
+        assert_eq!(m, 0.0);
+        assert!((r2 - 1.0).abs() < 1e-12);
+    }
 }

@@ -4,7 +4,6 @@
 use tifs_sequitur::categorize::{categorize, CategoryCounts};
 
 use crate::engine::Lab;
-use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// Per-workload categorization outcome (summed across cores).
@@ -35,7 +34,8 @@ pub fn run_on(lab: &Lab) -> Vec<Categorization> {
     })
 }
 
-/// Canonical structured form (fractions as numbers, not percentages).
+/// Canonical structured form (fractions as numbers, not percentages),
+/// with the average repetitive fraction as a note.
 pub fn structured(results: &[Categorization]) -> StructuredReport {
     let mut report = StructuredReport::new(
         "fig03",
@@ -62,37 +62,13 @@ pub fn structured(results: &[Categorization]) -> StructuredReport {
             Cell::Num(r.counts.repetitive_fraction()),
         ]);
     }
-    report
-}
-
-/// Renders the per-workload category fractions.
-pub fn render(results: &[Categorization]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let [opp, head, new, nonrep] = r.counts.fractions();
-            vec![
-                r.workload.clone(),
-                r.counts.total().to_string(),
-                pct(opp),
-                pct(head),
-                pct(new),
-                pct(nonrep),
-                pct(r.counts.repetitive_fraction()),
-            ]
-        })
-        .collect();
     let avg = results
         .iter()
         .map(|r| r.counts.repetitive_fraction())
         .sum::<f64>()
         / results.len().max(1) as f64;
-    format!(
-        "Figure 3 — L1-I miss categorization (paper: 94% repetitive on average)\n{}\naverage repetitive fraction: {}\n",
-        render_table(
-            &["workload", "misses", "opportunity", "head", "new", "non-rep", "repetitive"],
-            &rows
-        ),
-        pct(avg)
-    )
+    report.push_note(format!(
+        "average repetitive fraction: {avg:.3} (paper: 94% repetitive on average)"
+    ));
+    report
 }

@@ -6,7 +6,6 @@ use tifs_sequitur::LengthCdf;
 use tifs_trace::filter::collapse_sequential;
 
 use crate::engine::Lab;
-use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
 /// Per-workload stream-length distribution (cores merged).
@@ -33,7 +32,9 @@ pub fn run_on(lab: &Lab) -> Vec<StreamLengths> {
     })
 }
 
-/// Canonical structured form (quantiles; absent quantiles are null).
+/// Canonical structured form (quantiles by share of opportunity misses;
+/// absent quantiles are null). The paper reads the median off the
+/// curves; OLTP-Oracle's median is ~80 discontinuous blocks.
 pub fn structured(results: &[StreamLengths]) -> StructuredReport {
     let mut report = StructuredReport::new(
         "fig05",
@@ -56,35 +57,4 @@ pub fn structured(results: &[StreamLengths]) -> StructuredReport {
         ]);
     }
     report
-}
-
-/// Renders quantiles of each CDF (the paper reads the median off the
-/// curves; OLTP-Oracle's median is ~80 discontinuous blocks).
-pub fn render(results: &[StreamLengths]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let q = |p: f64| {
-                r.cdf
-                    .quantile(p)
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "-".into())
-            };
-            vec![
-                r.workload.clone(),
-                r.cdf.total_opportunity().to_string(),
-                q(0.25),
-                q(0.5),
-                q(0.75),
-                q(0.9),
-            ]
-        })
-        .collect();
-    format!(
-        "Figure 5 — temporal stream length CDF (discontinuous blocks; quantiles by % opportunity)\n{}",
-        render_table(
-            &["workload", "opportunity", "p25", "median", "p75", "p90"],
-            &rows
-        )
-    )
 }

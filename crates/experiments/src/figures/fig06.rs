@@ -6,7 +6,6 @@ use tifs_sequitur::heuristics::{
 };
 
 use crate::engine::Lab;
-use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// Per-workload heuristic coverages (misses summed across cores).
@@ -52,22 +51,4 @@ pub fn structured(results: &[HeuristicRow]) -> StructuredReport {
         report.push_row(row);
     }
     report
-}
-
-/// Renders the heuristic comparison.
-pub fn render(results: &[HeuristicRow]) -> String {
-    let mut headers = vec!["workload"];
-    headers.extend(Heuristic::ALL.iter().map(|h| h.name()));
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.workload.clone()];
-            row.extend(r.coverage.iter().map(|&c| pct(c)));
-            row
-        })
-        .collect();
-    format!(
-        "Figure 6 — fraction of misses eliminable per stream-lookup heuristic\n{}",
-        render_table(&headers, &rows)
-    )
 }

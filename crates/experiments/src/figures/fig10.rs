@@ -26,7 +26,6 @@
 
 use crate::engine::{functional_section, Lab};
 use crate::harness::walk_core;
-use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// Distribution of branches-per-4-miss-lookahead for one workload.
@@ -127,37 +126,4 @@ pub fn structured(results: &[LookaheadDist]) -> StructuredReport {
         ]);
     }
     report
-}
-
-/// Renders quantiles and the paper's ">16 branches" headline fraction.
-pub fn render(results: &[LookaheadDist]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.counts.len().to_string(),
-                r.quantile(0.25).to_string(),
-                r.quantile(0.5).to_string(),
-                r.quantile(0.75).to_string(),
-                r.quantile(0.9).to_string(),
-                pct(r.fraction_above(16)),
-            ]
-        })
-        .collect();
-    format!(
-        "Figure 10 — non-inner-loop branch predictions needed for a 4-miss lookahead\n{}",
-        render_table(
-            &[
-                "workload",
-                "misses",
-                "p25",
-                "median",
-                "p75",
-                "p90",
-                ">16 branches"
-            ],
-            &rows
-        )
-    )
 }

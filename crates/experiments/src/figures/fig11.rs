@@ -4,7 +4,6 @@
 use tifs_core::{entries_per_core_for_kb, FunctionalConfig, FunctionalTifs};
 
 use crate::engine::{Lab, ANALYSIS_CORES};
-use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// Swept total IML storage budgets in kilobytes (log-ish scale, as the
@@ -63,23 +62,4 @@ pub fn structured(results: &[CapacityCurve]) -> StructuredReport {
         report.push_row(row);
     }
     report
-}
-
-/// Renders coverage per storage budget.
-pub fn render(results: &[CapacityCurve]) -> String {
-    let mut headers = vec!["workload".to_string()];
-    headers.extend(STORAGE_KB.iter().map(|kb| format!("{kb:.0}KB")));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.workload.clone()];
-            row.extend(r.points.iter().map(|&(_, c)| pct(c)));
-            row
-        })
-        .collect();
-    format!(
-        "Figure 11 — TIFS coverage vs. total IML storage (perfect dedicated index)\n{}",
-        render_table(&header_refs, &rows)
-    )
 }

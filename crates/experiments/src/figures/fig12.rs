@@ -8,7 +8,6 @@
 
 use crate::engine::{ExperimentGrid, Lab};
 use crate::harness::SystemKind;
-use crate::report::{pct, render_table};
 use crate::sink::{Cell, StructuredReport};
 
 /// One workload's Figure 12 measurements.
@@ -68,7 +67,8 @@ pub fn run_on(lab: &Lab) -> Vec<TrafficRow> {
         .collect()
 }
 
-/// Canonical structured form (both panels, one row per workload).
+/// Canonical structured form (both panels, one row per workload), with
+/// the average total traffic overhead as a note.
 pub fn structured(results: &[TrafficRow]) -> StructuredReport {
     let mut report = StructuredReport::new(
         "fig12",
@@ -96,44 +96,10 @@ pub fn structured(results: &[TrafficRow]) -> StructuredReport {
             Cell::Num(r.total_overhead()),
         ]);
     }
-    report
-}
-
-/// Renders both panels.
-pub fn render(results: &[TrafficRow]) -> String {
-    let left: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                pct(r.coverage),
-                pct(r.miss),
-                pct(r.discard),
-            ]
-        })
-        .collect();
-    let right: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                pct(r.iml_read_frac),
-                pct(r.iml_write_frac),
-                pct(r.discard_frac),
-                pct(r.total_overhead()),
-            ]
-        })
-        .collect();
     let avg =
         results.iter().map(TrafficRow::total_overhead).sum::<f64>() / results.len().max(1) as f64;
-    format!(
-        "Figure 12 (left) — coverage / miss / discards, % of baseline L1-I misses\n{}\n\
-         Figure 12 (right) — L2 traffic increase, % of base L2 traffic (paper: 13% average)\n{}\naverage total overhead: {}\n",
-        render_table(&["workload", "coverage", "miss", "discard"], &left),
-        render_table(
-            &["workload", "IML read", "IML write", "discards", "total"],
-            &right
-        ),
-        pct(avg)
-    )
+    report.push_note(format!(
+        "average total overhead: {avg:.3} of base L2 traffic (paper: 13% average)"
+    ));
+    report
 }

@@ -5,7 +5,6 @@
 
 use crate::engine::{ExperimentGrid, Lab};
 use crate::harness::SystemKind;
-use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
 /// One workload's bar group.
@@ -46,7 +45,8 @@ pub fn run_on(lab: &Lab) -> Vec<SpeedupRow> {
         .collect()
 }
 
-/// Canonical structured form (one speedup column per system).
+/// Canonical structured form (one speedup column per system), with the
+/// paper's headline aggregates as a note.
 pub fn structured(results: &[SpeedupRow]) -> StructuredReport {
     let systems = SystemKind::figure13();
     let mut columns = vec!["workload".to_string()];
@@ -65,37 +65,17 @@ pub fn structured(results: &[SpeedupRow]) -> StructuredReport {
         );
         report.push_row(row);
     }
-    report
-}
-
-/// Renders the bar groups plus the paper's headline aggregates.
-pub fn render(results: &[SpeedupRow]) -> String {
-    let systems = SystemKind::figure13();
-    let mut headers = vec!["workload".to_string()];
-    headers.extend(systems.iter().map(|s| s.name()));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.workload.clone()];
-            row.extend(r.speedups.iter().map(|&(_, s)| format!("{s:.3}")));
-            row
-        })
-        .collect();
-    let tifs_avg = mean(results, SystemKind::TifsVirtualized);
     let tifs_best = results
         .iter()
         .filter_map(|r| r.of(SystemKind::TifsVirtualized))
         .fold(f64::MIN, f64::max);
-    let fdip_avg = mean(results, SystemKind::Fdip);
-    format!(
-        "Figure 13 — speedup over next-line prefetching (paper: TIFS 11% avg / 24% best; 5% avg over FDIP)\n{}\n\
-         TIFS-virtualized: average {:.3}, best {:.3}; FDIP average {:.3}\n",
-        render_table(&header_refs, &rows),
-        tifs_avg,
-        tifs_best,
-        fdip_avg
-    )
+    report.push_note(format!(
+        "TIFS-virtualized: average {:.3}, best {tifs_best:.3}; FDIP average {:.3} \
+         (paper: TIFS 11% avg / 24% best; 5% avg over FDIP)",
+        mean(results, SystemKind::TifsVirtualized),
+        mean(results, SystemKind::Fdip),
+    ));
+    report
 }
 
 fn mean(results: &[SpeedupRow], kind: SystemKind) -> f64 {

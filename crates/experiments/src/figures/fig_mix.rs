@@ -64,7 +64,6 @@ use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{CellWorkload, WorkloadSpec};
 
 use crate::engine::{ExperimentGrid, Lab, SystemSpec};
-use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
 /// Duty cycle of the throttled tenants in the `skewed` scenario: they
@@ -309,7 +308,9 @@ pub fn run_grid_with_threads(
     out
 }
 
-/// Canonical structured form: one row per measured cell.
+/// Canonical structured form: one row per measured cell, with the
+/// single-ported pool's mean speedup over private per (scenario, flush,
+/// budget) as notes.
 pub fn structured(cells: &[MixCell]) -> StructuredReport {
     let mut report = StructuredReport::new(
         "fig_mix",
@@ -349,48 +350,10 @@ pub fn structured(cells: &[MixCell]) -> StructuredReport {
             Cell::Num(c.index_invalidations),
         ]);
     }
-    report
-}
-
-/// Renders the per-cell table plus a per-(scenario, flush, budget)
-/// summary of the fully-shared pool's speedup over private.
-pub fn render(cells: &[MixCell]) -> String {
-    let headers = [
-        "scenario",
-        "flush",
-        "budget KB",
-        "org",
-        "IPC",
-        "vs private",
-        "coverage",
-        "flushes",
-        "refill cyc",
-        "port wait",
-    ];
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.scenario.clone(),
-                if c.flush { "on" } else { "off" }.to_string(),
-                format!("{}", c.budget_kb),
-                c.org.label(),
-                format!("{:.3}", c.ipc),
-                format!("{:.3}", c.speedup_vs_private),
-                format!("{:.3}", c.coverage),
-                format!("{:.0}", c.flushes),
-                format!("{:.0}", c.refill_cycles),
-                format!("{:.0}", c.port_wait),
-            ]
-        })
-        .collect();
-    let mut out = format!(
-        "Workload-mix study — heterogeneous fleets on the metadata-sharing axis\n{}",
-        render_table(&headers, &rows)
-    );
-    let mut groups: Vec<(String, bool, f64)> = Vec::new();
-    for c in cells {
-        let g = (c.scenario.clone(), c.flush, c.budget_kb);
+    let pool = MetadataOrg::shared_pool(1);
+    let mut groups: Vec<(&str, bool, f64)> = Vec::new();
+    for c in cells.iter().filter(|c| c.org == pool) {
+        let g = (c.scenario.as_str(), c.flush, c.budget_kb);
         if !groups.contains(&g) {
             groups.push(g);
         }
@@ -399,21 +362,15 @@ pub fn render(cells: &[MixCell]) -> String {
         let pooled: Vec<f64> = cells
             .iter()
             .filter(|c| {
-                c.scenario == scenario
-                    && c.flush == flush
-                    && c.budget_kb == kb
-                    && c.org == MetadataOrg::shared_pool(1)
+                c.org == pool && c.scenario == scenario && c.flush == flush && c.budget_kb == kb
             })
             .map(|c| c.speedup_vs_private)
             .collect();
-        if pooled.is_empty() {
-            continue;
-        }
         let mean = pooled.iter().sum::<f64>() / pooled.len() as f64;
-        out.push_str(&format!(
-            "shared-pool vs private @ {scenario}, flush {}, {kb} KB: mean {mean:.3}\n",
+        report.push_note(format!(
+            "shared-pool vs private @ {scenario}, flush {}, {kb} KB: mean {mean:.3}",
             if flush { "on" } else { "off" }
         ));
     }
-    out
+    report
 }

@@ -17,7 +17,6 @@ use tifs_core::{entries_per_core_for_kb, ImlStorage, MetadataOrg, TifsConfig};
 use tifs_sim::config::SystemConfig;
 
 use crate::engine::{ExperimentGrid, Lab, SystemSpec};
-use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
 /// Metadata port ways granted to the shared organizations: a
@@ -158,7 +157,8 @@ pub fn run_grid_with_threads(
     cells
 }
 
-/// Canonical structured form: one row per measured cell.
+/// Canonical structured form: one row per measured cell, with the pooled
+/// organization's mean speedup over private per (cores, budget) as notes.
 pub fn structured(cells: &[SharingCell]) -> StructuredReport {
     let mut report = StructuredReport::new(
         "fig_sharing",
@@ -190,45 +190,9 @@ pub fn structured(cells: &[SharingCell]) -> StructuredReport {
             Cell::Num(c.pool_evictions),
         ]);
     }
-    report
-}
-
-/// Renders the per-cell table plus a per-(cores, budget) summary of the
-/// pooled organization's mean speedup over private.
-pub fn render(cells: &[SharingCell]) -> String {
-    let headers = [
-        "workload",
-        "cores",
-        "budget KB",
-        "org",
-        "IPC",
-        "vs private",
-        "coverage",
-        "port conf",
-        "pool evic",
-    ];
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.workload.clone(),
-                c.cores.to_string(),
-                format!("{}", c.budget_kb),
-                c.org.label(),
-                format!("{:.3}", c.ipc),
-                format!("{:.3}", c.speedup_vs_private),
-                format!("{:.3}", c.coverage),
-                format!("{:.0}", c.port_conflicts),
-                format!("{:.0}", c.pool_evictions),
-            ]
-        })
-        .collect();
-    let mut out = format!(
-        "Sharing study — metadata organization at iso-storage (MANA/Triangel axis)\n{}",
-        render_table(&headers, &rows)
-    );
+    let pool = MetadataOrg::shared_pool(SHARED_WAYS);
     let mut groups: Vec<(usize, f64)> = Vec::new();
-    for c in cells {
+    for c in cells.iter().filter(|c| c.org == pool) {
         if !groups.contains(&(c.cores, c.budget_kb)) {
             groups.push((c.cores, c.budget_kb));
         }
@@ -236,20 +200,13 @@ pub fn render(cells: &[SharingCell]) -> String {
     for (cores, kb) in groups {
         let pooled: Vec<f64> = cells
             .iter()
-            .filter(|c| {
-                c.cores == cores
-                    && c.budget_kb == kb
-                    && c.org == MetadataOrg::shared_pool(SHARED_WAYS)
-            })
+            .filter(|c| c.org == pool && c.cores == cores && c.budget_kb == kb)
             .map(|c| c.speedup_vs_private)
             .collect();
-        if pooled.is_empty() {
-            continue;
-        }
         let mean = pooled.iter().sum::<f64>() / pooled.len() as f64;
-        out.push_str(&format!(
-            "shared-pool vs private @ {cores} cores, {kb} KB: mean {mean:.3}\n"
+        report.push_note(format!(
+            "shared-pool vs private @ {cores} cores, {kb} KB: mean {mean:.3}"
         ));
     }
-    out
+    report
 }

@@ -3,47 +3,11 @@
 use tifs_sim::config::SystemConfig;
 
 use crate::engine::Lab;
-use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
 
-/// Renders Table I for the lab's workloads: the synthetic workload suite,
+/// Canonical structured form of Table I: the synthetic workload suite,
 /// with the generated instruction footprints (the paper's table lists the
 /// commercial setups these mirror).
-pub fn render_table1_on(lab: &Lab) -> String {
-    let rows: Vec<Vec<String>> = (0..lab.len())
-        .map(|i| {
-            let spec = lab.spec(i);
-            let w = lab.workload(i);
-            vec![
-                spec.name.to_string(),
-                format!("{:?}", spec.class),
-                format!("{} KB", w.program.text_bytes() / 1024),
-                spec.n_txn_types.to_string(),
-                spec.path_len.to_string(),
-                spec.divergence_every.to_string(),
-                format!("{}", spec.trap_period),
-            ]
-        })
-        .collect();
-    format!(
-        "Table I — synthetic commercial workload suite (seed {})\n{}",
-        lab.exp().seed,
-        render_table(
-            &[
-                "workload",
-                "class",
-                "text",
-                "txn types",
-                "path len",
-                "diverge every",
-                "trap period"
-            ],
-            &rows
-        )
-    )
-}
-
-/// Canonical structured form of Table I.
 pub fn structured_table1(lab: &Lab) -> StructuredReport {
     let mut report = StructuredReport::new(
         "table1",
@@ -84,17 +48,4 @@ pub fn structured_table2() -> StructuredReport {
         report.push_row(vec![Cell::Text(k), Cell::Text(v)]);
     }
     report
-}
-
-/// Renders Table II: system parameters.
-pub fn render_table2() -> String {
-    let rows: Vec<Vec<String>> = SystemConfig::table2()
-        .table_rows()
-        .into_iter()
-        .map(|(k, v)| vec![k, v])
-        .collect();
-    format!(
-        "Table II — system parameters\n{}",
-        render_table(&["component", "configuration"], &rows)
-    )
 }

@@ -2,21 +2,22 @@
 //! paper's evaluation (MICRO 2008).
 //!
 //! Each figure has a module under [`figures`] exposing `run_on` (structured
-//! results on a shared [`engine::Lab`]), `render` (the paper-style table)
-//! and `structured` (the canonical report), and a subcommand of the one
-//! experiment driver, the `tifs` binary (`tifs fig13`, `tifs all`, …),
-//! which parses the budgets ([`harness::ExpConfig::parse`]), attaches the
-//! stores and prints their statistics. All of them execute through the
-//! [`engine`]: a declarative [`engine::ExperimentGrid`] of (row × system)
-//! cells, each row a homogeneous workload or a per-core mix, whose
+//! results on a shared [`engine::Lab`]) and `structured` (the canonical
+//! report), and a subcommand of the one experiment driver, the `tifs`
+//! binary (`tifs fig13`, `tifs all`, …), which parses the budgets
+//! ([`harness::ExpConfig::parse`]), attaches the stores, prints each
+//! report as a table and ends with the stores' statistics. All of them
+//! execute through the [`engine`]: a declarative
+//! [`engine::ExperimentGrid`] of (row × system) cells, each row a
+//! homogeneous workload or a per-core mix, whose
 //! [`run_on`](engine::ExperimentGrid::run_on) is the one cell pipeline —
 //! it builds each program image once, fans cells out across threads, and
 //! returns keyed reports — plus an [`engine::Lab`] of shared workloads
 //! and cached miss traces for the SEQUITUR analyses. [`harness`] keeps
 //! the experiment parameters, the [`harness::SystemKind`] taxonomy, and
-//! the trace analyses' functional walk; [`report`] renders tables and
-//! fits; [`sink`] serializes every subcommand's results as canonical,
-//! diffable JSON/CSV reports under `results/`; [`calibration`] holds the
+//! the trace analyses' functional walk; [`sink`] renders every report as
+//! a console table and serializes it as canonical, diffable JSON/CSV
+//! under `results/`; [`calibration`] holds the
 //! Table I measurement and target bands shared by `tifs calibrate`
 //! (nonzero exit on drift) and the `calibration_regression` suite.
 //! Persistence makes repeat evaluations pure warm starts:
@@ -45,7 +46,6 @@ pub mod calibration;
 pub mod engine;
 pub mod figures;
 pub mod harness;
-pub mod report;
 pub mod sink;
 
 pub use engine::{run_cell, ExperimentGrid, GridResults, Lab, SystemSpec};

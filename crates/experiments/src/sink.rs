@@ -1,9 +1,11 @@
-//! Structured results sink: canonical JSON and CSV reports per grid.
+//! Structured results sink: canonical JSON and CSV reports per grid,
+//! and the console table rendered from the same report.
 //!
-//! Every driver renders a human-readable table to stdout *and* routes a
-//! [`StructuredReport`] through this module, so the full evaluation
-//! leaves diffable machine-readable artifacts behind (like the committed
-//! bench baselines). The serializations are canonical:
+//! Every driver builds one [`StructuredReport`] per result, prints it to
+//! stdout as a table ([`to_text`]) *and* routes it through this module,
+//! so the full evaluation leaves diffable machine-readable artifacts
+//! behind (like the committed bench baselines) and the console shows the
+//! same columns they hold. The serializations are canonical:
 //!
 //! * JSON keys are written in a fixed order (`schema`, `name`, `title`,
 //!   `columns`, `rows`) with one row per line;
@@ -95,6 +97,10 @@ pub struct StructuredReport {
     pub columns: Vec<String>,
     /// Rows of cells, one per `columns` entry.
     pub rows: Vec<Vec<Cell>>,
+    /// Summary lines printed under the console table (averages, the
+    /// paper's quoted values). [`to_json`] and [`to_csv`] leave them out,
+    /// so the serialized bytes depend on the rows alone.
+    pub notes: Vec<String>,
 }
 
 impl StructuredReport {
@@ -109,6 +115,7 @@ impl StructuredReport {
             title: title.into(),
             columns: columns.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -128,6 +135,11 @@ impl StructuredReport {
             self.columns.len()
         );
         self.rows.push(row);
+    }
+
+    /// Appends one summary line for the console table.
+    pub fn push_note(&mut self, note: impl Into<String>) {
+        self.notes.push(note.into());
     }
 }
 
@@ -222,6 +234,56 @@ pub fn to_csv(report: &StructuredReport) -> String {
     for row in &report.rows {
         let cells: Vec<String> = row.iter().map(csv_cell).collect();
         let _ = writeln!(out, "{}", cells.join(","));
+    }
+    out
+}
+
+/// The console form of a cell: integers whole, measured quantities with
+/// three decimals, missing and non-finite values as `-`.
+fn text_cell(cell: &Cell) -> String {
+    match cell {
+        Cell::Text(s) => s.clone(),
+        Cell::Int(v) => v.to_string(),
+        Cell::Num(v) if v.is_finite() => format!("{v:.3}"),
+        Cell::Null | Cell::Num(_) => "-".to_string(),
+    }
+}
+
+/// Right-aligns `cells` in columns of `widths`, two spaces apart.
+fn aligned(cells: &[String], widths: &[usize]) -> String {
+    let line: String = cells
+        .iter()
+        .zip(widths)
+        .map(|(cell, &width)| format!("{cell:>width$}  "))
+        .collect();
+    format!("{}\n", line.trim_end())
+}
+
+/// Renders a report as the console table: the title, the rows under the
+/// report's own column names (right-aligned, each column as wide as its
+/// widest entry), then its notes.
+pub fn to_text(report: &StructuredReport) -> String {
+    let rows: Vec<Vec<String>> = report
+        .rows
+        .iter()
+        .map(|row| row.iter().map(text_cell).collect())
+        .collect();
+    let mut widths: Vec<usize> = report.columns.iter().map(String::len).collect();
+    for row in &rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let mut out = format!("{}\n", report.title);
+    out.push_str(&aligned(&report.columns, &widths));
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    out.push('\n');
+    for row in &rows {
+        out.push_str(&aligned(row, &widths));
+    }
+    for note in &report.notes {
+        out.push_str(note);
+        out.push('\n');
     }
     out
 }
@@ -373,6 +435,51 @@ mod tests {
         assert_eq!(fmt_num(1.0 / 3.0).unwrap(), "0.3333333333333333");
         assert_eq!(fmt_num(f64::NAN), None);
         assert_eq!(fmt_num(f64::INFINITY), None);
+    }
+
+    #[test]
+    fn text_numbers_follow_one_rule() {
+        assert_eq!(text_cell(&Cell::from("DSS Qry2")), "DSS Qry2");
+        assert_eq!(text_cell(&Cell::Int(-7)), "-7");
+        assert_eq!(text_cell(&Cell::from(1_093_936u64)), "1093936");
+        assert_eq!(text_cell(&Cell::Num(2.0 / 3.0)), "0.667");
+        assert_eq!(text_cell(&Cell::Num(156.0)), "156.000");
+        assert_eq!(text_cell(&Cell::Null), "-");
+        assert_eq!(text_cell(&Cell::Num(f64::NAN)), "-");
+        assert_eq!(text_cell(&Cell::Num(f64::NEG_INFINITY)), "-");
+    }
+
+    #[test]
+    fn table_alignment() {
+        // `workload` is wider than its cells, `v` narrower than `12345`:
+        // each column takes its widest entry and right-aligns the rest.
+        let mut r = StructuredReport::new("t", "T", ["workload", "v"]);
+        r.push_row(vec![Cell::from("a"), Cell::Int(12345)]);
+        r.push_row(vec![Cell::from("longer"), Cell::Num(2.0)]);
+        assert_eq!(
+            to_text(&r),
+            "T\nworkload      v\n-----------------\n       a  12345\n  longer  2.000\n"
+        );
+    }
+
+    #[test]
+    fn notes_print_after_the_table() {
+        let mut r = sample();
+        r.push_note("first note");
+        r.push_note("second");
+        assert_eq!(
+            to_text(&r),
+            "a \"quoted\" title\n name   n      x\n------------------\n  a,b   3  0.500\nplain  -1      -\n\
+             first note\nsecond\n"
+        );
+    }
+
+    #[test]
+    fn notes_leave_json_and_csv_unchanged() {
+        let mut r = sample();
+        r.push_note("average: 0.5");
+        assert_eq!(to_json(&r), to_json(&sample()));
+        assert_eq!(to_csv(&r), to_csv(&sample()));
     }
 
     #[test]

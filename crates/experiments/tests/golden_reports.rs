@@ -2,7 +2,8 @@
 //! byte-for-byte against committed artifacts, so any change to the JSON
 //! or CSV encodings — key order, float formatting, row layout — shows up
 //! as a reviewable diff instead of silently breaking cross-PR report
-//! diffing.
+//! diffing. The console table rendered from the same report is pinned
+//! the same way.
 //!
 //! To regenerate after an intentional format change:
 //!
@@ -67,4 +68,9 @@ fn grid_json_matches_golden_byte_for_byte() {
 #[test]
 fn grid_csv_matches_golden_byte_for_byte() {
     check_golden(&sink::to_csv(&golden_report()), "golden_smoke.csv");
+}
+
+#[test]
+fn grid_text_matches_golden_byte_for_byte() {
+    check_golden(&sink::to_text(&golden_report()), "golden_smoke.txt");
 }
