@@ -19,6 +19,11 @@
 //! (default 20 ms).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a timing harness reads the clock by definition, and its knobs \
+              (TIFS_BENCH_*) shape sampling, never a measured result's bytes"
+)]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -24,6 +24,12 @@
 //! `calibrate` exits 1 when a workload drifts out of its Table I band;
 //! bad arguments and unknown subcommands print the usage and exit 2.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "each phase is timed for its elapsed line on stderr, never for stdout or \
+              results/"
+)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -295,8 +301,8 @@ fn ablations(lab: &Lab) -> ExitCode {
             Cell::Text(spec.name()),
             Cell::Num(r.aggregate_ipc() / base_ipc),
             Cell::Num(r.coverage()),
-            Cell::Num(r.prefetcher_counter("discards").unwrap_or(0.0)),
-            Cell::Num(r.prefetcher_counter("streams").unwrap_or(0.0)),
+            Cell::from(r.prefetcher_counter("discards").unwrap_or(0.0) as u64),
+            Cell::from(r.prefetcher_counter("streams").unwrap_or(0.0) as u64),
             Cell::from(r.l2.iml_traffic()),
         ]);
     }

@@ -113,6 +113,10 @@ pub mod par {
 
     /// Worker count: `TIFS_THREADS` if set (1 forces serial), else the
     /// machine's available parallelism.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TIFS_THREADS sets the worker count; results are identical at any count"
+    )]
     pub fn parallelism() -> usize {
         if let Some(n) = std::env::var("TIFS_THREADS")
             .ok()
@@ -132,7 +136,7 @@ pub mod par {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f` (the scope joins all workers first).
+    /// Propagates a panic from `f` (every worker is joined first).
     pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -150,23 +154,35 @@ pub mod par {
         let next = &next;
         let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // A send only fails if the receiver is gone, which
-                    // means the scope is already unwinding.
-                    if tx.send((i, f(i, &items[i]))).is_err() {
-                        break;
-                    }
-                });
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    scope.spawn(move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // A send only fails if the receiver is gone, which
+                        // means the scope is already unwinding.
+                        if tx.send((i, f(i, &items[i]))).is_err() {
+                            break;
+                        }
+                    })
+                })
+                .collect();
             drop(tx);
             for (i, r) in rx {
                 slots[i] = Some(r);
+            }
+            // The scope's own join returns once each closure has ended,
+            // while its thread may still be exiting and holding its malloc
+            // arena. A joined thread has released it, so the next map's
+            // workers reuse these arenas instead of opening new ones, each
+            // of which would keep its own freed memory resident.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         slots
@@ -1102,6 +1118,18 @@ mod tests {
         assert!(par::map(&empty, 8, |_, &x| x).is_empty());
         let one = [7u32];
         assert_eq!(par::map(&one, 64, |_, &x| x + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn par_map_propagates_a_worker_panic_with_its_message() {
+        let items: Vec<u32> = (0..8).collect();
+        par::map(&items, 2, |i, &x| {
+            if i == 5 {
+                panic!("item {i} failed");
+            }
+            x
+        });
     }
 
     #[test]

@@ -177,18 +177,18 @@ pub struct MixCell {
     /// Miss coverage.
     pub coverage: f64,
     /// Metadata flushes absorbed (context switches across all cores).
-    pub flushes: f64,
+    pub flushes: u64,
     /// Cycles spent inside post-flush recovery windows.
-    pub refill_cycles: f64,
+    pub refill_cycles: u64,
     /// Demand misses taken inside post-flush recovery windows.
-    pub refill_misses: f64,
+    pub refill_misses: u64,
     /// Total port-wait cycles absorbed by delayed metadata operations.
-    pub port_wait: f64,
+    pub port_wait: u64,
     /// History entries evicted by shared-pool pressure.
-    pub pool_evictions: f64,
+    pub pool_evictions: u64,
     /// Index Table invalidations (capacity evictions of the bounded,
     /// pooled table plus flush-driven invalidations).
-    pub index_invalidations: f64,
+    pub index_invalidations: u64,
 }
 
 /// TIFS under `org` with `budget_kb` of total history storage split
@@ -276,9 +276,7 @@ pub fn run_grid_with_threads(
                 .report(system_for(MetadataOrg::PrivatePerCore, *kb, cores))
                 .expect("private baseline in grid");
             let base_ipc = private.aggregate_ipc();
-            let sum = |f: fn(&tifs_sim::stats::CoreStats) -> u64| {
-                report.cores.iter().map(|c| f(c) as f64).sum::<f64>()
-            };
+            let sum = |f: fn(&tifs_sim::stats::CoreStats) -> u64| report.cores.iter().map(f).sum();
             out.push(MixCell {
                 scenario: scenario.clone(),
                 flush: *flush,
@@ -295,13 +293,13 @@ pub fn run_grid_with_threads(
                 flushes: sum(|c| c.flushes),
                 refill_cycles: sum(|c| c.refill_cycles),
                 refill_misses: sum(|c| c.refill_misses),
-                port_wait: report.prefetcher_counter("meta_port_wait").unwrap_or(0.0),
+                port_wait: report.prefetcher_counter("meta_port_wait").unwrap_or(0.0) as u64,
                 pool_evictions: report
                     .prefetcher_counter("iml_pool_evictions")
-                    .unwrap_or(0.0),
+                    .unwrap_or(0.0) as u64,
                 index_invalidations: report
                     .prefetcher_counter("index_invalidations")
-                    .unwrap_or(0.0),
+                    .unwrap_or(0.0) as u64,
             });
         }
     }
@@ -342,12 +340,12 @@ pub fn structured(cells: &[MixCell]) -> StructuredReport {
             Cell::Num(c.ipc),
             Cell::Num(c.speedup_vs_private),
             Cell::Num(c.coverage),
-            Cell::Num(c.flushes),
-            Cell::Num(c.refill_cycles),
-            Cell::Num(c.refill_misses),
-            Cell::Num(c.port_wait),
-            Cell::Num(c.pool_evictions),
-            Cell::Num(c.index_invalidations),
+            Cell::from(c.flushes),
+            Cell::from(c.refill_cycles),
+            Cell::from(c.refill_misses),
+            Cell::from(c.port_wait),
+            Cell::from(c.pool_evictions),
+            Cell::from(c.index_invalidations),
         ]);
     }
     let pool = MetadataOrg::shared_pool(1);

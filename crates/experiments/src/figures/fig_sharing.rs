@@ -66,11 +66,11 @@ pub struct SharingCell {
     /// Miss coverage.
     pub coverage: f64,
     /// Cross-core metadata port conflicts (shared orgs; 0 for private).
-    pub port_conflicts: f64,
+    pub port_conflicts: u64,
     /// Total port-wait cycles absorbed by delayed metadata operations.
-    pub port_wait: f64,
+    pub port_wait: u64,
     /// History entries evicted by shared-pool pressure.
-    pub pool_evictions: f64,
+    pub pool_evictions: u64,
 }
 
 /// TIFS under `org` with `budget_kb` of total history storage split
@@ -145,11 +145,11 @@ pub fn run_grid_with_threads(
                     coverage: report.coverage(),
                     port_conflicts: report
                         .prefetcher_counter("meta_port_conflicts")
-                        .unwrap_or(0.0),
-                    port_wait: report.prefetcher_counter("meta_port_wait").unwrap_or(0.0),
+                        .unwrap_or(0.0) as u64,
+                    port_wait: report.prefetcher_counter("meta_port_wait").unwrap_or(0.0) as u64,
                     pool_evictions: report
                         .prefetcher_counter("iml_pool_evictions")
-                        .unwrap_or(0.0),
+                        .unwrap_or(0.0) as u64,
                 });
             }
         }
@@ -185,9 +185,9 @@ pub fn structured(cells: &[SharingCell]) -> StructuredReport {
             Cell::Num(c.ipc),
             Cell::Num(c.speedup_vs_private),
             Cell::Num(c.coverage),
-            Cell::Num(c.port_conflicts),
-            Cell::Num(c.port_wait),
-            Cell::Num(c.pool_evictions),
+            Cell::from(c.port_conflicts),
+            Cell::from(c.port_wait),
+            Cell::from(c.pool_evictions),
         ]);
     }
     let pool = MetadataOrg::shared_pool(SHARED_WAYS);

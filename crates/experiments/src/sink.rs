@@ -344,10 +344,11 @@ impl ResultsSink {
     /// (`off` / `0` / `none` / empty) or when the directory cannot be
     /// created (warned on stderr); otherwise the named directory,
     /// defaulting to [`DEFAULT_RESULTS_DIR`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TIFS_RESULTS selects where results land, never what they contain"
+    )]
     pub fn from_env() -> Option<ResultsSink> {
-        // tifs-lint: allow(wall-clock) — RESULTS_ENV is the documented
-        // TIFS_RESULTS knob; it selects where results land, never what
-        // they contain.
         let dir = match std::env::var(RESULTS_ENV) {
             Ok(v) if matches!(v.as_str(), "off" | "0" | "none" | "") => return None,
             Ok(v) => PathBuf::from(v),

@@ -13,6 +13,9 @@
 //!   the cold run's (and the storeless golden run's: the store is a
 //!   pure cache).
 
+mod common;
+
+use common::check_golden;
 use tifs_experiments::engine::Lab;
 use tifs_experiments::figures::fig_mix::{self, MixCell};
 use tifs_experiments::harness::ExpConfig;
@@ -64,30 +67,6 @@ fn run_small(lab: &Lab, threads: Option<usize>) -> Vec<MixCell> {
     )
 }
 
-fn check_golden(rendered: &str, file: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file);
-    // Same disable convention as TIFS_TRACE_STORE / TIFS_RESULTS: falsy
-    // values must not silently rewrite the goldens and pass vacuously.
-    let update = matches!(
-        std::env::var("TIFS_UPDATE_GOLDEN").as_deref(),
-        Ok(v) if !matches!(v, "" | "0" | "off" | "none" | "false")
-    );
-    if update {
-        std::fs::write(&path, rendered).expect("update golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-    assert_eq!(
-        rendered, expected,
-        "{} diverged from its golden bytes; if intentional, regenerate with \
-         TIFS_UPDATE_GOLDEN=1 cargo test -p tifs-experiments --test mix_grid",
-        file
-    );
-}
-
 #[test]
 fn mix_grid_matches_goldens_and_is_thread_count_invariant() {
     let lab = small_lab();
@@ -110,16 +89,16 @@ fn mix_grid_flush_arm_actually_flushes_and_bills_refill() {
     let cells = run_small(&small_lab(), None);
     for c in &cells {
         if c.flush {
-            assert!(c.flushes > 0.0, "{}: flush arm saw no flushes", c.scenario);
+            assert!(c.flushes > 0, "{}: flush arm saw no flushes", c.scenario);
             assert!(
-                c.refill_cycles > 0.0,
+                c.refill_cycles > 0,
                 "{}: flushes billed no refill cycles",
                 c.scenario
             );
         } else {
-            assert_eq!(c.flushes, 0.0, "{}: flush-off arm flushed", c.scenario);
-            assert_eq!(c.refill_cycles, 0.0);
-            assert_eq!(c.refill_misses, 0.0);
+            assert_eq!(c.flushes, 0, "{}: flush-off arm flushed", c.scenario);
+            assert_eq!(c.refill_cycles, 0);
+            assert_eq!(c.refill_misses, 0);
         }
     }
 }

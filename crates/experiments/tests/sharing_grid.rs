@@ -11,6 +11,9 @@
 //!   its report bytes equal the cold run's (and the storeless golden
 //!   run's: the stores are pure caches).
 
+mod common;
+
+use common::check_golden;
 use tifs_experiments::engine::Lab;
 use tifs_experiments::figures::fig_sharing::{self, SharingCell};
 use tifs_experiments::harness::ExpConfig;
@@ -38,30 +41,6 @@ fn small_lab() -> Lab {
 
 fn run_small(lab: &Lab, threads: Option<usize>) -> Vec<SharingCell> {
     fig_sharing::run_grid_with_threads(lab, &CORE_COUNTS, &BUDGETS_KB, threads)
-}
-
-fn check_golden(rendered: &str, file: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file);
-    // Same disable convention as TIFS_TRACE_STORE / TIFS_RESULTS: falsy
-    // values must not silently rewrite the goldens and pass vacuously.
-    let update = matches!(
-        std::env::var("TIFS_UPDATE_GOLDEN").as_deref(),
-        Ok(v) if !matches!(v, "" | "0" | "off" | "none" | "false")
-    );
-    if update {
-        std::fs::write(&path, rendered).expect("update golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-    assert_eq!(
-        rendered, expected,
-        "{} diverged from its golden bytes; if intentional, regenerate with \
-         TIFS_UPDATE_GOLDEN=1 cargo test -p tifs-experiments --test sharing_grid",
-        file
-    );
 }
 
 #[test]

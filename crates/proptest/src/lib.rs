@@ -25,6 +25,10 @@ pub use strategy::{Just, Strategy};
 pub type TestRng = SmallRng;
 
 /// Number of cases per property (env `PROPTEST_CASES`, default 64).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PROPTEST_CASES sets how many cases a test draws, not what a run computes"
+)]
 pub fn cases() -> u64 {
     std::env::var("PROPTEST_CASES")
         .ok()

@@ -681,6 +681,10 @@ impl Sequitur {
 
     /// Verifies both SEQUITUR invariants, panicking with a diagnostic if one
     /// is violated. Intended for tests; cost is O(grammar size).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "both tables are only probed by key, never enumerated"
+    )]
     pub fn assert_invariants(&self) {
         use std::collections::HashMap;
         let mut seen: HashMap<(Value, Value), u32> = HashMap::new();

@@ -24,8 +24,6 @@
 //! misses are counted as eliminated. Heads themselves are never eliminated,
 //! matching the paper's `Head`/`Opportunity` accounting.
 
-use std::collections::HashMap;
-
 use crate::suffix::LceIndex;
 
 /// Stream lookup policy (paper Section 4.4).
@@ -156,6 +154,10 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
 /// Panics if `lce` does not cover exactly `trace.len()` symbols. The
 /// index must be built over `trace` itself; one built over another trace
 /// of the same length gives meaningless results.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the per-address table is only probed by key, never enumerated"
+)]
 pub fn evaluate_with_index(
     trace: &[u64],
     lce: &LceIndex,
@@ -164,7 +166,7 @@ pub fn evaluate_with_index(
     assert!(config.max_candidates >= 1, "need at least one candidate");
     let n = trace.len();
     assert_eq!(lce.len(), n, "suffix index built over another trace");
-    let mut state: HashMap<u64, AddrState> = HashMap::new();
+    let mut state = std::collections::HashMap::<u64, AddrState>::new();
     let mut out = HeuristicOutcome {
         total_misses: n,
         ..HeuristicOutcome::default()

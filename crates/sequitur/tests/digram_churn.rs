@@ -6,6 +6,11 @@
 //! with a deliberately collision-heavy hash so probe chains actually
 //! displace.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the std HashMap is the model under test; it is only probed by key"
+)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;

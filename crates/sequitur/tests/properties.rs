@@ -96,7 +96,7 @@ proptest! {
         // A symbol's very first appearance in the trace cannot repeat a
         // prior stream; it must be New or NonRepetitive.
         let classes = categorize(&trace);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (i, &sym) in trace.iter().enumerate() {
             if seen.insert(sym) {
                 prop_assert!(

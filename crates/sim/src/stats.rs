@@ -1,6 +1,10 @@
 //! Simulation statistics: per-core counters, whole-run reports, and the
 //! canonical report codec (the payload of the persistent report store).
 
+// Decoders reject a hostile length or count with `try_from` and an error
+// path; an `as` cast that can truncate would silently wrap it instead.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::l2::L2Stats;
 
 /// Per-core counters collected during a timing run.
@@ -498,6 +502,75 @@ mod tests {
         let back = SimReport::from_canonical_bytes(&extended).unwrap();
         assert_eq!(back, flushed);
         assert_eq!(back.to_canonical_bytes(), extended);
+    }
+
+    #[test]
+    fn layout_versions_pin_the_encoding() {
+        // Exhaustive literals: a new field fails to compile here. Each
+        // field holds its own nonzero value and the flush section is
+        // present, so a dropped, swapped or reordered field moves the
+        // pinned bytes even when encoder and decoder move together.
+        let report = SimReport {
+            cores: vec![
+                CoreStats {
+                    retired: 1,
+                    cycles: 2,
+                    fetch_blocks: 3,
+                    l1i_hits: 4,
+                    next_line_hits: 5,
+                    prefetch_hits: 6,
+                    demand_misses: 7,
+                    fetch_stall_cycles: 8,
+                    mispredicts: 9,
+                    cond_branches: 10,
+                    flushes: 11,
+                    refill_cycles: 12,
+                    refill_misses: 13,
+                },
+                CoreStats {
+                    retired: 14,
+                    cycles: 15,
+                    fetch_blocks: 16,
+                    l1i_hits: 17,
+                    next_line_hits: 18,
+                    prefetch_hits: 19,
+                    demand_misses: 20,
+                    fetch_stall_cycles: 21,
+                    mispredicts: 22,
+                    cond_branches: 23,
+                    flushes: 24,
+                    refill_cycles: 25,
+                    refill_misses: 26,
+                },
+            ],
+            l2: L2Stats {
+                accesses: [27, 28, 29, 30, 31, 32],
+                inst_hits: 33,
+                inst_misses: 34,
+                mshr_rejects: 35,
+                mem_transfers: 36,
+                tag_updates: 37,
+                tag_update_drops: 38,
+                queue_delay: 39,
+            },
+            cycles: 40,
+            prefetcher: vec![("streams".into(), 41.5), ("discards".into(), 42.25)],
+        };
+        let bytes = report.to_canonical_bytes();
+        assert_eq!(SimReport::from_canonical_bytes(&bytes).unwrap(), report);
+        let fnv1a64 = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (
+                SIM_REPORT_LAYOUT_VERSION,
+                SIM_REPORT_FLUSH_LAYOUT_VERSION,
+                bytes.len(),
+                fnv1a64
+            ),
+            (1, 3, 391, 0x024a_8cdc_dd4d_62a8),
+            "the SimReport encoding changed: bump the layout version, then re-pin"
+        );
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! Each case drives both sides through one randomized op sequence and
 //! compares every observable result, not just the final state.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    reason = "the std HashMap is the model under test; its enumerations are sorted \
+              or check each entry on its own, so visit order cannot change the outcome"
+)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
@@ -108,8 +116,6 @@ proptest! {
             prop_assert_eq!(map.len(), model.len());
         }
         // Every surviving key must still be reachable.
-        // tifs-lint: allow(nondet-iteration) — std-HashMap model in an
-        // equivalence proptest; each entry is checked independently.
         for (&b, &v) in &model {
             prop_assert_eq!(map.get(b), Some(v));
         }

@@ -13,7 +13,7 @@ proptest! {
     fn cache_capacity_and_membership(ops in prop::collection::vec((0u64..256, any::<bool>()), 0..500)) {
         // 16 blocks, 2-way.
         let mut cache = SetAssocCache::new(1024, 2);
-        let mut inserted = std::collections::HashSet::new();
+        let mut inserted = std::collections::BTreeSet::new();
         for (b, is_insert) in ops {
             let block = BlockAddr(b);
             if is_insert {

@@ -14,6 +14,10 @@
 //!   [`read_report_section`]) carries an opaque payload: the report
 //!   store's canonical `SimReport` bytes.
 
+// Decoders reject a hostile length or count with `try_from` and an error
+// path; an `as` cast that can truncate would silently wrap it instead.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::io::{self, Read, Write};
 
 /// Errors produced by the store entry codecs.
@@ -94,8 +98,6 @@ fn usize_count(v: u64) -> Result<usize, CodecError> {
 
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     loop {
-        // tifs-lint: allow(narrowing-cast) — `& 0x7F` bounds the value
-        // to 7 bits; the cast cannot lose information.
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
@@ -501,7 +503,7 @@ mod tests {
 
     #[test]
     fn report_section_roundtrip() {
-        let body: Vec<u8> = (0..200u16).map(|i| (i * 7) as u8).collect();
+        let body: Vec<u8> = (0..200u16).map(|i| (i * 7).to_le_bytes()[0]).collect();
         let mut buf = Vec::new();
         write_report_section(&mut buf, 0x1234, &body).unwrap();
         assert_eq!(
@@ -560,6 +562,29 @@ mod tests {
                 "prefix of {cut} bytes must not parse"
             );
         }
+    }
+
+    #[test]
+    fn entry_versions_pin_the_encoding() {
+        // One entry of each format, pinned by its length and checksum.
+        // Any change to a frame or body layout moves these bytes: bump
+        // that format's version, so old store entries are evicted rather
+        // than misread, then re-pin.
+        let mut miss = Vec::new();
+        write_symbol_sections(&mut miss, 0x0123_4567_89AB_CDEF, &sample_sections()).unwrap();
+        let mut report = Vec::new();
+        write_report_section(&mut report, 0xFEDC_BA98_7654_3210, b"canonical report").unwrap();
+        assert_eq!(
+            [
+                (MISS_MAGIC, MISS_TRACE_VERSION, miss.len(), fnv1a64(&miss)),
+                (REPORT_MAGIC, REPORT_VERSION, report.len(), fnv1a64(&report)),
+            ],
+            [
+                (*b"TIFM", 1, 65, 0x93e8_a93b_61ff_11f9),
+                (*b"TIFR", 1, 56, 0x69cb_e76c_c210_b738),
+            ],
+            "an entry's bytes changed: bump its format version, then re-pin"
+        );
     }
 
     #[test]

@@ -63,9 +63,11 @@ pub const STORE_MAX_BYTES_ENV: &str = "TIFS_STORE_MAX_BYTES";
 
 /// The size bound selected by [`STORE_MAX_BYTES_ENV`], if any (unset,
 /// empty, zero, or unparsable values leave the store unbounded).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "TIFS_STORE_MAX_BYTES bounds cache disk use, not trace bytes"
+)]
 pub fn max_bytes_from_env() -> Option<u64> {
-    // tifs-lint: allow(wall-clock) — STORE_MAX_BYTES_ENV is the documented
-    // TIFS_STORE_MAX_BYTES knob; it bounds cache disk use, not trace bytes.
     std::env::var(STORE_MAX_BYTES_ENV)
         .ok()?
         .replace('_', "")
@@ -414,10 +416,12 @@ impl StoreCore {
     /// Resolves `var` to a store directory: `None` when the variable
     /// disables persistence (`off` / `0` / `none` / empty), else the
     /// named directory, defaulting to `default_dir`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "callers pass the TIFS_TRACE_STORE / TIFS_REPORT_STORE knobs; \
+                  the directory choice never reaches simulated state"
+    )]
     fn dir_from_env(var: &str, default_dir: &str) -> Option<PathBuf> {
-        // tifs-lint: allow(wall-clock) — callers pass the documented
-        // TIFS_TRACE_STORE / TIFS_REPORT_STORE knobs; the directory
-        // choice never reaches simulated state.
         match std::env::var(var) {
             Ok(v) if matches!(v.as_str(), "off" | "0" | "none" | "") => None,
             Ok(v) => Some(PathBuf::from(v)),

@@ -6,14 +6,17 @@
 //! Instruction Miss Logs and replays them through Streamed Value Buffers,
 //! plus every substrate the paper's evaluation needs — a synthetic
 //! commercial-workload generator, a cycle-level CMP simulator, baseline
-//! prefetchers (next-line, FDIP, discontinuity, stride), and the SEQUITUR
+//! prefetchers (next-line, FDIP, discontinuity), and the SEQUITUR
 //! opportunity analyses.
 //!
 //! This crate re-exports the workspace members:
 //!
-//! * [`trace`] — workload generation, instruction records, trace codec;
-//! * [`sim`] — caches, banked L2, cycle-level cores, the CMP harness;
-//! * [`prefetch`] — baseline prefetchers and branch predictors;
+//! * [`trace`] — workload generation, instruction records, the store
+//!   entry codecs and the trace and report stores;
+//! * [`sim`] — caches, banked L2, cycle-level cores, branch predictors,
+//!   the next-line prefetcher and the CMP harness;
+//! * [`prefetch`] — the baseline prefetchers (FDIP, discontinuity, the
+//!   probabilistic and perfect bounds);
 //! * [`core`] — the TIFS mechanism (IML, Index Table, SVB);
 //! * [`sequitur`] — grammar inference and stream analyses;
 //! * [`experiments`] — drivers reproducing every table and figure.
