@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use tifs_bench::{bench_symbols, bench_symbols_large, bench_workload};
 use tifs_core::iml::{Iml, ENTRIES_PER_L2_BLOCK};
-use tifs_core::{FunctionalConfig, FunctionalTifs};
+use tifs_core::{FunctionalTifs, TifsConfig};
 use tifs_experiments::harness::walk_core;
 use tifs_sequitur::{LceIndex, Sequitur};
 use tifs_sim::bpred::HybridPredictor;
@@ -193,7 +193,7 @@ fn bench_functional_tifs(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("functional_per_miss", |b| {
         b.iter(|| {
-            let mut f = FunctionalTifs::new(1, FunctionalConfig::default());
+            let mut f = FunctionalTifs::new(1, Some(TifsConfig::DEFAULT_ENTRIES_PER_CORE));
             for &blk in &trace {
                 f.process(0, blk);
             }

@@ -12,27 +12,11 @@ use tifs_trace::BlockAddr;
 use crate::iml::Iml;
 use crate::index::{ImlPtr, IndexKind, IndexTable};
 
-/// Configuration of the functional model.
-#[derive(Clone, Copy, Debug)]
-pub struct FunctionalConfig {
-    /// IML entries retained per core (`None` = unbounded).
-    pub iml_entries_per_core: Option<usize>,
-    /// Concurrent streams per core.
-    pub stream_contexts: usize,
-    /// Lookahead window per stream (models the SVB's rate-matching depth
-    /// plus its associative slack).
-    pub window: usize,
-}
-
-impl Default for FunctionalConfig {
-    fn default() -> Self {
-        FunctionalConfig {
-            iml_entries_per_core: Some(8192),
-            stream_contexts: 4,
-            window: 8,
-        }
-    }
-}
+/// Concurrent streams per core.
+const STREAM_CONTEXTS: usize = 4;
+/// Lookahead window per stream (models the SVB's rate-matching depth plus
+/// its associative slack).
+const WINDOW: usize = 8;
 
 #[derive(Clone, Debug)]
 struct FStream {
@@ -67,7 +51,6 @@ impl FunctionalReport {
 /// The functional TIFS model.
 #[derive(Clone, Debug)]
 pub struct FunctionalTifs {
-    cfg: FunctionalConfig,
     imls: Vec<Iml>,
     index: IndexTable,
     streams: Vec<Vec<FStream>>,
@@ -76,17 +59,17 @@ pub struct FunctionalTifs {
 }
 
 impl FunctionalTifs {
-    /// Creates the model for `num_cores` cores.
-    pub fn new(num_cores: usize, cfg: FunctionalConfig) -> FunctionalTifs {
+    /// Creates the model for `num_cores` cores, each retaining
+    /// `iml_entries_per_core` log entries (`None` = unbounded).
+    pub fn new(num_cores: usize, iml_entries_per_core: Option<usize>) -> FunctionalTifs {
         FunctionalTifs {
-            cfg,
             imls: (0..num_cores)
-                .map(|_| Iml::new(cfg.iml_entries_per_core))
+                .map(|_| Iml::new(iml_entries_per_core))
                 .collect(),
             index: IndexTable::new(IndexKind::Dedicated),
             streams: (0..num_cores)
                 .map(|_| {
-                    (0..cfg.stream_contexts)
+                    (0..STREAM_CONTEXTS)
                         .map(|_| FStream {
                             active: false,
                             src_core: 0,
@@ -112,7 +95,7 @@ impl FunctionalTifs {
             if !s.active {
                 continue;
             }
-            let window = self.imls[s.src_core].read_group(s.pos, self.cfg.window);
+            let window = self.imls[s.src_core].read_group(s.pos, WINDOW);
             if let Some(off) = window.iter().position(|e| e.block == block) {
                 matched = Some((sid, s.pos + off as u64 + 1));
                 break;
@@ -196,7 +179,7 @@ mod tests {
 
     #[test]
     fn repeating_stream_is_covered() {
-        let mut f = FunctionalTifs::new(1, FunctionalConfig::default());
+        let mut f = FunctionalTifs::new(1, Some(8192));
         let stream: Vec<u64> = (100..130).collect();
         let mut covered_last_pass = 0;
         for pass in 0..4 {
@@ -220,7 +203,7 @@ mod tests {
 
     #[test]
     fn random_trace_covers_nothing() {
-        let mut f = FunctionalTifs::new(1, FunctionalConfig::default());
+        let mut f = FunctionalTifs::new(1, Some(8192));
         for b in 0..500u64 {
             assert!(!f.process(0, BlockAddr(b * 7919)));
         }
@@ -229,7 +212,7 @@ mod tests {
 
     #[test]
     fn window_tolerates_small_deviations() {
-        let mut f = FunctionalTifs::new(1, FunctionalConfig::default());
+        let mut f = FunctionalTifs::new(1, Some(8192));
         let a = blocks(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         // Train.
         for &b in &a {
@@ -249,17 +232,11 @@ mod tests {
     fn tiny_iml_kills_coverage() {
         // With a log far smaller than the working loop, pointers die before
         // reuse and coverage collapses.
-        let tiny = FunctionalConfig {
-            iml_entries_per_core: Some(16),
-            ..FunctionalConfig::default()
-        };
-        let big = FunctionalConfig {
-            iml_entries_per_core: Some(4096),
-            ..FunctionalConfig::default()
-        };
+        let tiny = Some(16);
+        let big = Some(4096);
         let loop_trace: Vec<BlockAddr> = (0..200u64).map(BlockAddr).collect();
-        let run = |cfg: FunctionalConfig| {
-            let mut f = FunctionalTifs::new(1, cfg);
+        let run = |entries: Option<usize>| {
+            let mut f = FunctionalTifs::new(1, entries);
             for _ in 0..5 {
                 for &b in &loop_trace {
                     f.process(0, b);
@@ -278,7 +255,7 @@ mod tests {
     fn cross_core_stream_following() {
         // Core 0 trains a stream; core 1's first traversal follows core 0's
         // IML through the shared index.
-        let mut f = FunctionalTifs::new(2, FunctionalConfig::default());
+        let mut f = FunctionalTifs::new(2, Some(8192));
         let stream: Vec<u64> = (500..540).collect();
         for &b in &stream {
             f.process(0, BlockAddr(b));
@@ -298,7 +275,7 @@ mod tests {
 
     #[test]
     fn interleaved_processing_consumes_all() {
-        let mut f = FunctionalTifs::new(2, FunctionalConfig::default());
+        let mut f = FunctionalTifs::new(2, Some(8192));
         let t0 = blocks(&[1, 2, 3, 1, 2, 3]);
         let t1 = blocks(&[9, 8, 9, 8]);
         f.process_interleaved(&[t0, t1]);

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use tifs_sim::collections::BlockMap;
+use tifs_collections::BlockMap;
 use tifs_trace::BlockAddr;
 
 /// A pointer into one core's IML.

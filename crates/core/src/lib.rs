@@ -49,7 +49,7 @@ pub mod prefetcher;
 pub mod sharing;
 pub mod svb;
 
-pub use functional::{FunctionalConfig, FunctionalReport, FunctionalTifs};
+pub use functional::{FunctionalReport, FunctionalTifs};
 pub use iml::{
     entries_per_core_for_kb, Iml, ImlEntry, ImlGroup, BITS_PER_ENTRY, ENTRIES_PER_L2_BLOCK,
 };

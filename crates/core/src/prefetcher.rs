@@ -25,10 +25,11 @@
 //! or any flush. A skipped tick is exactly one the pump would have spent
 //! as a no-op, so gating changes the cost of a run, not its output.
 
-use tifs_sim::cache::SetAssocCache;
+use tifs_sim::config::SystemConfig;
 use tifs_sim::l2::L2ReqKind;
 use tifs_sim::metadata::MetadataPorts;
-use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
+use tifs_sim::miss_trace::FunctionalFetchModel;
+use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx, BUFFER_BLOCKS};
 use tifs_trace::BlockAddr;
 
 use crate::iml::ENTRIES_PER_L2_BLOCK;
@@ -95,7 +96,7 @@ impl TifsConfig {
         TifsConfig {
             storage: ImlStorage::Unbounded,
             index: IndexKind::Dedicated,
-            svb_blocks: 32,
+            svb_blocks: BUFFER_BLOCKS,
             stream_contexts: 4,
             rate_target: 8,
             end_of_stream: true,
@@ -143,10 +144,10 @@ pub struct TifsPrefetcher {
     /// arbitrate nothing (`ways == 0`).
     ports: MetadataPorts,
     svbs: Vec<Svb>,
-    /// Per-core mirror of L1-I contents, consulted before issuing stream
+    /// Per-core view of the Table II L1-I, probed before issuing stream
     /// prefetches (residency probes over the L1 tag ports; the paper's
     /// methodology grants FDIP the same unlimited tag bandwidth).
-    l1_mirrors: Vec<SetAssocCache>,
+    l1: Vec<FunctionalFetchModel>,
     /// Per-core wake cycle: [`IPrefetcher::tick`] skips a core's pump
     /// while `now` is before it.
     wake: Vec<u64>,
@@ -155,7 +156,6 @@ pub struct TifsPrefetcher {
     failed_lookups: u64,
     streams_allocated: u64,
     issued: u64,
-    supplied: u64,
     iml_reads: u64,
     iml_writes: u64,
     timely_supplies: u64,
@@ -190,15 +190,14 @@ impl TifsPrefetcher {
             svbs: (0..num_cores)
                 .map(|_| Svb::new(cfg.svb_blocks, cfg.stream_contexts))
                 .collect(),
-            l1_mirrors: (0..num_cores)
-                .map(|_| SetAssocCache::new(64 * 1024, 2))
+            l1: (0..num_cores)
+                .map(|_| FunctionalFetchModel::new(&SystemConfig::table2()))
                 .collect(),
             wake: vec![0; num_cores],
             lookups: 0,
             failed_lookups: 0,
             streams_allocated: 0,
             issued: 0,
-            supplied: 0,
             iml_reads: 0,
             iml_writes: 0,
             timely_supplies: 0,
@@ -306,7 +305,7 @@ impl TifsPrefetcher {
                 // probe over the tag port). The end-of-stream question is
                 // still live for a skipped clear-bit block: pause and wait
                 // to observe it in the fetch stream.
-                if self.l1_mirrors[core].peek(entry.block) {
+                if self.l1[core].holds(entry.block) {
                     if self.cfg.end_of_stream && !entry.svb_hit {
                         self.svbs[core].stream_mut(sid).paused_on = Some(entry.block);
                         break;
@@ -421,12 +420,10 @@ impl IPrefetcher for TifsPrefetcher {
         kind: FetchKind,
     ) -> Option<u64> {
         let core = ctx.core;
-        // Maintain the L1 mirror: the fetched block plus the next-line
+        // Maintain the L1 view: the fetched block plus the next-line
         // prefetches it triggers. This wakes nothing: only an issuing
-        // stream reads the mirror, and such a stream keeps its core awake.
-        for d in 0..=4u64 {
-            self.l1_mirrors[core].insert(block.offset(d));
-        }
+        // stream probes the view, and such a stream keeps its core awake.
+        self.l1[core].fill(block);
         if kind == FetchKind::L1Hit {
             // The SVB supplies blocks only after an L1 miss (paper: lookup
             // off the critical fetch path), but it observes the fetched
@@ -451,7 +448,6 @@ impl IPrefetcher for TifsPrefetcher {
         }
         if let Some((ready, _sid)) = self.svbs[core].take(block, ctx.now) {
             self.wake[core] = 0;
-            self.supplied += 1;
             if ready <= ctx.now {
                 self.timely_supplies += 1;
             } else {
@@ -570,7 +566,7 @@ impl IPrefetcher for TifsPrefetcher {
         // temporal metadata: streams die (generation bump), the core's
         // history window is discarded (positions stay monotonic, so
         // other cores' streams into this log simply run dry), and every
-        // Index-Table pointer into it is invalidated. The L1 mirror is
+        // Index-Table pointer into it is invalidated. The L1 view is
         // *not* cleared — caches keep their contents across a context
         // switch; only prediction metadata flushes.
         self.svbs[core].flush();
@@ -593,7 +589,6 @@ impl IPrefetcher for TifsPrefetcher {
         self.failed_lookups = 0;
         self.streams_allocated = 0;
         self.issued = 0;
-        self.supplied = 0;
         self.iml_reads = 0;
         self.iml_writes = 0;
         self.timely_supplies = 0;
@@ -613,8 +608,9 @@ impl IPrefetcher for TifsPrefetcher {
         let (idx_updates, idx_drops, idx_invals) = self.index.churn();
         let (port_conflicts, port_wait) = self.ports.contention();
         let pool_evictions = self.history.pool_evictions();
+        // Every supply is an SVB hit: the two names carry one count.
         vec![
-            ("supplied".into(), self.supplied as f64),
+            ("supplied".into(), svb_hits as f64),
             ("svb_hits".into(), svb_hits as f64),
             ("discards".into(), discards as f64),
             ("issued".into(), self.issued as f64),

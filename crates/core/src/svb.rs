@@ -9,19 +9,10 @@
 
 use std::collections::VecDeque;
 
-use tifs_sim::collections::FillQueue;
+use tifs_sim::prefetch::PrefetchBuffer;
 use tifs_trace::BlockAddr;
 
 use crate::iml::ImlEntry;
-
-/// One buffered streamed block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct BufEntry {
-    block: BlockAddr,
-    ready: u64,
-    stream: u8,
-    generation: u64,
-}
 
 /// One stream context (paper Figure 9: IML pointer + FIFO of upcoming
 /// prefetch addresses).
@@ -69,27 +60,19 @@ impl StreamCtx {
 /// A core's streamed value buffer.
 #[derive(Clone, Debug)]
 pub struct Svb {
-    buffer: Vec<BufEntry>,
-    /// In-flight stream prefetches, carrying `(stream, generation)`.
-    inflight: FillQueue<(u8, u64)>,
+    /// Streamed blocks, each tagged with its `(stream, generation)`.
+    buffer: PrefetchBuffer<(u8, u64)>,
     streams: Vec<StreamCtx>,
-    capacity: usize,
-    hits: u64,
-    discards: u64,
 }
 
 impl Svb {
     /// Creates an SVB with `capacity` buffered blocks and
     /// `stream_contexts` concurrent streams.
     pub fn new(capacity: usize, stream_contexts: usize) -> Svb {
-        assert!(capacity > 0 && stream_contexts > 0);
+        assert!(stream_contexts > 0);
         Svb {
-            buffer: Vec::with_capacity(capacity),
-            inflight: FillQueue::new(),
+            buffer: PrefetchBuffer::new(capacity),
             streams: (0..stream_contexts).map(|_| StreamCtx::idle()).collect(),
-            capacity,
-            hits: 0,
-            discards: 0,
         }
     }
 
@@ -98,70 +81,45 @@ impl Svb {
     /// stream, consuming the entry and clearing a matching end-of-stream
     /// pause.
     pub fn take(&mut self, block: BlockAddr, now: u64) -> Option<(u64, u8)> {
-        let found = if let Some(pos) = self.buffer.iter().position(|e| e.block == block) {
-            Some(self.buffer.remove(pos))
-        } else {
-            self.inflight
-                .remove(block)
-                .map(|(ready, (stream, generation))| BufEntry {
-                    block,
-                    ready,
-                    stream,
-                    generation,
-                })
-        };
-        let e = found?;
-        self.hits += 1;
-        let sid = e.stream as usize;
-        if sid < self.streams.len() {
-            let s = &mut self.streams[sid];
-            if s.generation == e.generation {
+        let (ready, tag) = self.buffer.take(block)?;
+        self.touch_stream(tag, block, now);
+        Some((ready, tag.0))
+    }
+
+    /// The stream that streamed `block` saw it used or dropped at `now`:
+    /// if the context still holds that stream, stamp its use and end a
+    /// pause on the block.
+    fn touch_stream(&mut self, (sid, generation): (u8, u64), block: BlockAddr, now: u64) {
+        if let Some(s) = self.streams.get_mut(sid as usize) {
+            if s.generation == generation {
                 s.last_use = now;
                 if s.paused_on == Some(block) {
                     s.paused_on = None;
                 }
             }
         }
-        Some((e.ready, e.stream))
     }
 
     /// Whether `block` is buffered or in flight (duplicate-issue filter).
     pub fn holds(&self, block: BlockAddr) -> bool {
-        self.inflight.contains(block) || self.buffer.iter().any(|e| e.block == block)
+        self.buffer.holds(block)
     }
 
     /// Records an issued stream prefetch.
     pub fn note_inflight(&mut self, block: BlockAddr, ready: u64, stream: u8) {
         let generation = self.streams[stream as usize].generation;
-        self.inflight.insert(ready, block, (stream, generation));
+        self.buffer.issue(block, ready, (stream, generation));
     }
 
     /// Cycle at which the earliest in-flight prefetch arrives, if any.
     pub fn next_arrival(&self) -> Option<u64> {
-        // The fill queue iterates in descending (ready, block) order.
-        self.inflight.iter().last().map(|&(ready, _, _)| ready)
+        self.buffer.next_arrival()
     }
 
     /// Moves arrived prefetches into the buffer; evictions of never-used
     /// blocks count as discards (paper Section 6.4).
     pub fn drain_arrivals(&mut self, now: u64) {
-        // The buffer is LRU-ordered, so arrival order decides evictions;
-        // the fill queue pops in (ready, address) order structurally.
-        while let Some((ready, block, (stream, generation))) = self.inflight.pop_ready(now) {
-            if self.buffer.len() == self.capacity {
-                self.buffer.pop();
-                self.discards += 1;
-            }
-            self.buffer.insert(
-                0,
-                BufEntry {
-                    block,
-                    ready,
-                    stream,
-                    generation,
-                },
-            );
-        }
+        self.buffer.drain(now);
     }
 
     /// The fetch unit hit `block` in the L1: a streamed copy (if any) is
@@ -169,45 +127,17 @@ impl Svb {
     /// discard (the prefetch was wasted traffic). Returns whether a copy
     /// was dropped.
     pub fn on_l1_hit(&mut self, block: BlockAddr, now: u64) -> bool {
-        let entry = if let Some(pos) = self.buffer.iter().position(|e| e.block == block) {
-            Some(self.buffer.remove(pos))
-        } else {
-            self.inflight
-                .remove(block)
-                .map(|(ready, (stream, generation))| BufEntry {
-                    block,
-                    ready,
-                    stream,
-                    generation,
-                })
+        let Some(tag) = self.buffer.discard(block) else {
+            return false;
         };
-        let Some(e) = entry else { return false };
-        self.discards += 1;
-        let sid = e.stream as usize;
-        if sid < self.streams.len() {
-            let s = &mut self.streams[sid];
-            if s.generation == e.generation {
-                s.last_use = now;
-                if s.paused_on == Some(block) {
-                    s.paused_on = None;
-                }
-            }
-        }
+        self.touch_stream(tag, block, now);
         true
     }
 
     /// Blocks currently charged to stream `sid` (in flight + unconsumed).
     pub fn outstanding(&self, sid: u8) -> usize {
         let generation = self.streams[sid as usize].generation;
-        self.inflight
-            .iter()
-            .filter(|&&(_, _, (s, g))| s == sid && g == generation)
-            .count()
-            + self
-                .buffer
-                .iter()
-                .filter(|e| e.stream == sid && e.generation == generation)
-                .count()
+        self.buffer.count(|tag| tag == (sid, generation))
     }
 
     /// Allocates a stream context (LRU victim), returning its id. Leftover
@@ -253,18 +183,17 @@ impl Svb {
 
     /// Successful supplies.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.buffer.hits()
     }
 
     /// Never-used evictions.
     pub fn discards(&self) -> u64 {
-        self.discards
+        self.buffer.discards()
     }
 
     /// Zeroes hit/discard counters (warmup discard).
     pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.discards = 0;
+        self.buffer.reset_counters();
     }
 
     /// Context-switch flush: drops every buffered and in-flight block and
@@ -276,7 +205,6 @@ impl Svb {
     /// overprediction accounting.
     pub fn flush(&mut self) {
         self.buffer.clear();
-        self.inflight = FillQueue::new();
         for s in &mut self.streams {
             let generation = s.generation + 1;
             *s = StreamCtx {

@@ -11,8 +11,9 @@
 //! * prints one line per benchmark, with element throughput when a group
 //!   set [`Throughput::Elements`];
 //! * appends every result to a machine-readable JSON report when the
-//!   `TIFS_BENCH_JSON` environment variable names a path (used to record
-//!   the committed baseline under `crates/bench/baselines/`).
+//!   `TIFS_BENCH_JSON` environment variable names a path (the CI perf
+//!   gate records the parent's runs and the change's this way and
+//!   compares them with `compare_baselines`).
 //!
 //! Environment knobs: `TIFS_BENCH_SAMPLES` caps samples per benchmark,
 //! `TIFS_BENCH_TARGET_MS` sets the per-sample calibration target
@@ -178,7 +179,7 @@ impl Criterion {
     /// each bench binary as its own process, the suite name (the bench
     /// binary's file stem, hash suffix stripped) is inserted before the
     /// extension so suites do not overwrite one another:
-    /// `baseline.json` → `baseline-components.json`, `baseline-figures.json`.
+    /// `bench.json` → `bench-components.json`, `bench-figures.json`.
     pub fn finalize(&self) {
         println!("\n{} benchmarks run", self.results.len());
         if let Ok(path) = std::env::var("TIFS_BENCH_JSON") {

@@ -56,9 +56,7 @@ use std::sync::OnceLock;
 use tifs_core::{
     CapacityPartition, ImlStorage, IndexKind, MetadataOrg, TifsConfig, TifsPrefetcher,
 };
-use tifs_prefetch::{
-    DiscontinuityConfig, DiscontinuityPrefetcher, Fdip, FdipConfig, ProbabilisticPrefetcher,
-};
+use tifs_prefetch::{DiscontinuityPrefetcher, Fdip, ProbabilisticPrefetcher};
 use tifs_sim::cmp::Cmp;
 use tifs_sim::config::SystemConfig;
 use tifs_sim::prefetch::{IPrefetcher, NullPrefetcher};
@@ -247,15 +245,8 @@ pub fn build_prefetcher<'a>(
     };
     match kind {
         SystemKind::NextLine => Box::new(NullPrefetcher),
-        SystemKind::Fdip => Box::new(Fdip::new(
-            &workload.program,
-            sys.num_cores,
-            FdipConfig::default(),
-        )),
-        SystemKind::Discontinuity => Box::new(DiscontinuityPrefetcher::new(
-            sys.num_cores,
-            DiscontinuityConfig::default(),
-        )),
+        SystemKind::Fdip => Box::new(Fdip::new(&workload.program, sys.num_cores)),
+        SystemKind::Discontinuity => Box::new(DiscontinuityPrefetcher::new(sys.num_cores)),
         SystemKind::TifsUnbounded => {
             Box::new(TifsPrefetcher::new(sys.num_cores, TifsConfig::unbounded()))
         }

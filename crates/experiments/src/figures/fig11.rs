@@ -1,7 +1,7 @@
 //! Figure 11 — TIFS predictor coverage as a function of IML storage
 //! capacity (perfect dedicated Index Table, functional model).
 
-use tifs_core::{entries_per_core_for_kb, FunctionalConfig, FunctionalTifs};
+use tifs_core::{entries_per_core_for_kb, FunctionalTifs};
 
 use crate::engine::{Lab, ANALYSIS_CORES};
 use crate::sink::{Cell, StructuredReport};
@@ -29,13 +29,7 @@ pub fn run_on(lab: &Lab) -> Vec<CapacityCurve> {
             .map(|&kb| {
                 let entries = entries_per_core_for_kb(kb, ANALYSIS_CORES)
                     .max(tifs_core::ENTRIES_PER_L2_BLOCK);
-                let mut f = FunctionalTifs::new(
-                    ANALYSIS_CORES,
-                    FunctionalConfig {
-                        iml_entries_per_core: Some(entries),
-                        ..FunctionalConfig::default()
-                    },
-                );
+                let mut f = FunctionalTifs::new(ANALYSIS_CORES, Some(entries));
                 f.process_interleaved(traces);
                 (kb, f.report().coverage())
             })

@@ -10,58 +10,36 @@
 //! implementation serves as an extra baseline for the Figure 13
 //! comparison.
 
-use tifs_sim::collections::FillQueue;
 use tifs_sim::l2::L2ReqKind;
-use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
-use tifs_trace::{BlockAddr, FetchRecord};
+use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchBuffer, PrefetchCtx, BUFFER_BLOCKS};
+use tifs_trace::BlockAddr;
 
-use crate::buffer::PrefetchBuffer;
-
-/// Discontinuity-table configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct DiscontinuityConfig {
-    /// Table entries (direct-mapped on block address).
-    pub table_entries: usize,
-    /// Prefetch buffer blocks.
-    pub buffer_blocks: usize,
-    /// Sequential blocks prefetched after a discontinuous target.
-    pub target_depth: u64,
-}
-
-impl Default for DiscontinuityConfig {
-    fn default() -> Self {
-        DiscontinuityConfig {
-            table_entries: 8192,
-            buffer_blocks: 32,
-            target_depth: 2,
-        }
-    }
-}
+/// Discontinuity-table entries (direct-mapped on block address).
+const TABLE_ENTRIES: usize = 8192;
+/// Sequential blocks prefetched after a discontinuous target.
+const TARGET_DEPTH: u64 = 2;
 
 struct DiscCore {
     /// Direct-mapped table: slot -> (source block, target block).
     table: Vec<Option<(BlockAddr, BlockAddr)>>,
     last_block: Option<BlockAddr>,
+    /// Prefetched blocks; a hit in it is a supply.
     buffer: PrefetchBuffer,
-    inflight: FillQueue,
     issued: u64,
-    supplied: u64,
 }
 
 impl DiscCore {
-    fn new(cfg: &DiscontinuityConfig) -> DiscCore {
+    fn new() -> DiscCore {
         DiscCore {
-            table: vec![None; cfg.table_entries],
+            table: vec![None; TABLE_ENTRIES],
             last_block: None,
-            buffer: PrefetchBuffer::new(cfg.buffer_blocks),
-            inflight: FillQueue::new(),
+            buffer: PrefetchBuffer::new(BUFFER_BLOCKS),
             issued: 0,
-            supplied: 0,
         }
     }
 
     fn slot(&self, block: BlockAddr) -> usize {
-        (block.0 as usize) & (self.table.len() - 1)
+        (block.0 as usize) % TABLE_ENTRIES
     }
 
     fn lookup(&self, block: BlockAddr) -> Option<BlockAddr> {
@@ -80,16 +58,13 @@ impl DiscCore {
 /// CMP-wide discontinuity prefetcher (per-core tables, as in \[31\]).
 pub struct DiscontinuityPrefetcher {
     cores: Vec<DiscCore>,
-    cfg: DiscontinuityConfig,
 }
 
 impl DiscontinuityPrefetcher {
     /// Creates the prefetcher for `num_cores` cores.
-    pub fn new(num_cores: usize, cfg: DiscontinuityConfig) -> DiscontinuityPrefetcher {
-        assert!(cfg.table_entries.is_power_of_two());
+    pub fn new(num_cores: usize) -> DiscontinuityPrefetcher {
         DiscontinuityPrefetcher {
-            cores: (0..num_cores).map(|_| DiscCore::new(&cfg)).collect(),
-            cfg,
+            cores: (0..num_cores).map(|_| DiscCore::new()).collect(),
         }
     }
 }
@@ -105,7 +80,6 @@ impl IPrefetcher for DiscontinuityPrefetcher {
         block: BlockAddr,
         kind: FetchKind,
     ) -> Option<u64> {
-        let target_depth = self.cfg.target_depth;
         let core = &mut self.cores[ctx.core];
 
         // Train: a non-sequential transition is a discontinuity.
@@ -118,11 +92,11 @@ impl IPrefetcher for DiscontinuityPrefetcher {
 
         // Predict: bridge one discontinuity from the current block.
         if let Some(target) = core.lookup(block) {
-            for d in 0..=target_depth {
+            for d in 0..=TARGET_DEPTH {
                 let b = target.offset(d);
-                if !core.buffer.contains(b) && !core.inflight.contains(b) {
+                if !core.buffer.holds(b) {
                     if let Some(resp) = ctx.l2.request(ctx.now, b, L2ReqKind::IPrefetch, None) {
-                        core.inflight.insert(resp.ready, b, ());
+                        core.buffer.issue(b, resp.ready, ());
                         core.issued += 1;
                     }
                 }
@@ -132,24 +106,13 @@ impl IPrefetcher for DiscontinuityPrefetcher {
         if kind == FetchKind::L1Hit {
             return None;
         }
-        if let Some(ready) = core.buffer.take(block) {
-            core.supplied += 1;
-            return Some(ready.max(ctx.now));
-        }
-        if let Some((ready, ())) = core.inflight.remove(block) {
-            core.supplied += 1;
-            return Some(ready.max(ctx.now));
-        }
-        None
+        let (ready, ()) = core.buffer.take(block)?;
+        Some(ready.max(ctx.now))
     }
 
     fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
         for core in &mut self.cores {
-            // The buffer is LRU-ordered, so arrival order matters; the
-            // fill queue pops in (ready, address) order structurally.
-            while let Some((r, b, ())) = core.inflight.pop_ready(ctx.now) {
-                core.buffer.insert(b, r);
-            }
+            core.buffer.drain(ctx.now);
         }
     }
 
@@ -161,20 +124,18 @@ impl IPrefetcher for DiscontinuityPrefetcher {
         core.table.iter_mut().for_each(|slot| *slot = None);
         core.last_block = None;
         core.buffer.clear();
-        core.inflight = FillQueue::new();
     }
 
     fn reset_counters(&mut self) {
         for c in &mut self.cores {
             c.issued = 0;
-            c.supplied = 0;
             c.buffer.reset_counters();
         }
     }
 
     fn counters(&self) -> Vec<(String, f64)> {
         let issued: u64 = self.cores.iter().map(|c| c.issued).sum();
-        let supplied: u64 = self.cores.iter().map(|c| c.supplied).sum();
+        let supplied: u64 = self.cores.iter().map(|c| c.buffer.hits()).sum();
         let discards: u64 = self.cores.iter().map(|c| c.buffer.discards()).sum();
         vec![
             ("issued".into(), issued as f64),
@@ -192,10 +153,6 @@ impl std::fmt::Debug for DiscontinuityPrefetcher {
     }
 }
 
-// Unused import guard: FetchRecord appears in the IPrefetcher trait's
-// default methods only.
-const _: fn(&FetchRecord) = |_| {};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +162,7 @@ mod tests {
     #[test]
     fn learns_and_bridges_discontinuities() {
         let mut l2 = L2::new(&SystemConfig::table2());
-        let mut p = DiscontinuityPrefetcher::new(1, DiscontinuityConfig::default());
+        let mut p = DiscontinuityPrefetcher::new(1);
         // Training pass: A(10) -> B(500) discontinuity.
         let mut now = 0;
         for _ in 0..2 {
@@ -259,7 +216,7 @@ mod tests {
     #[test]
     fn sequential_transitions_not_recorded() {
         let mut l2 = L2::new(&SystemConfig::table2());
-        let mut p = DiscontinuityPrefetcher::new(1, DiscontinuityConfig::default());
+        let mut p = DiscontinuityPrefetcher::new(1);
         for b in [100u64, 101, 102, 103] {
             let mut ctx = PrefetchCtx {
                 now: 0,

@@ -3,9 +3,11 @@
 //!
 //! * exploration proceeds up to **96 instructions** ahead of the fetch
 //!   unit, but at most **6 branches** ahead;
-//! * the prefetch buffer is **fully associative** (like the SVB);
+//! * the prefetch buffer is **fully associative** and as large as the SVB
+//!   ([`BUFFER_BLOCKS`]);
 //! * L1 tag-port bandwidth for residency probes is unlimited ("no impact
-//!   on fetch") — modelled as an exact L1 mirror consulted before issuing.
+//!   on fetch") — modelled as an exact view of the L1-I
+//!   ([`FunctionalFetchModel`]) consulted before issuing.
 //!
 //! The exploration engine decodes the static program image along the path
 //! the branch predictor predicts, enqueueing the blocks it crosses. When
@@ -25,38 +27,19 @@
 use std::collections::VecDeque;
 
 use tifs_sim::bpred::{HybridPredictor, ReturnAddressStack, TargetBuffer};
-use tifs_sim::cache::SetAssocCache;
-use tifs_sim::collections::FillQueue;
+use tifs_sim::config::SystemConfig;
 use tifs_sim::l2::L2ReqKind;
-use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
+use tifs_sim::miss_trace::FunctionalFetchModel;
+use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchBuffer, PrefetchCtx, BUFFER_BLOCKS};
 use tifs_trace::program::{Callee, InstrRef, Op, Program};
 use tifs_trace::{Addr, BlockAddr, BranchKind, FetchRecord};
 
-use crate::buffer::PrefetchBuffer;
-
-/// FDIP tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct FdipConfig {
-    /// Maximum instructions explored beyond the fetch unit (paper: 96).
-    pub max_instrs_ahead: usize,
-    /// Maximum branches explored beyond the fetch unit (paper: 6).
-    pub max_branches_ahead: usize,
-    /// Prefetch buffer capacity in blocks (2 KB = 32, matching the SVB).
-    pub buffer_blocks: usize,
-    /// Instructions explored per cycle (at most one branch per cycle).
-    pub explore_per_cycle: usize,
-}
-
-impl Default for FdipConfig {
-    fn default() -> Self {
-        FdipConfig {
-            max_instrs_ahead: 96,
-            max_branches_ahead: 6,
-            buffer_blocks: 32,
-            explore_per_cycle: 4,
-        }
-    }
-}
+/// Maximum instructions explored beyond the fetch unit (paper: 96).
+const MAX_INSTRS_AHEAD: usize = 96;
+/// Maximum branches explored beyond the fetch unit (paper: 6).
+const MAX_BRANCHES_AHEAD: usize = 6;
+/// Instructions explored per cycle (at most one branch per cycle).
+const EXPLORE_PER_CYCLE: usize = 4;
 
 /// The next instruction to explore: its PC and where it decodes to.
 #[derive(Clone, Copy, Debug)]
@@ -77,7 +60,7 @@ struct FdipCore {
     bpred: HybridPredictor,
     ras: ReturnAddressStack,
     btb: TargetBuffer,
-    l1_mirror: SetAssocCache,
+    l1: FunctionalFetchModel,
     // Speculative exploration state.
     explore: Option<Cursor>,
     spec_history: u64,
@@ -86,22 +69,20 @@ struct FdipCore {
     branches_in_path: usize,
     last_explored_block: Option<BlockAddr>,
     restart_pending: bool,
-    // Prefetched blocks.
+    // Prefetched blocks; a hit in it is a supply.
     buffer: PrefetchBuffer,
-    inflight: FillQueue,
     // Counters.
     issued: u64,
-    supplied: u64,
     restarts: u64,
 }
 
 impl FdipCore {
-    fn new(cfg: &FdipConfig) -> FdipCore {
+    fn new() -> FdipCore {
         FdipCore {
             bpred: HybridPredictor::table2(),
             ras: ReturnAddressStack::new(32),
             btb: TargetBuffer::new(4096),
-            l1_mirror: SetAssocCache::new(64 * 1024, 2),
+            l1: FunctionalFetchModel::new(&SystemConfig::table2()),
             explore: None,
             spec_history: 0,
             spec_ras: ReturnAddressStack::new(32),
@@ -109,10 +90,8 @@ impl FdipCore {
             branches_in_path: 0,
             last_explored_block: None,
             restart_pending: true,
-            buffer: PrefetchBuffer::new(cfg.buffer_blocks),
-            inflight: FillQueue::new(),
+            buffer: PrefetchBuffer::new(BUFFER_BLOCKS),
             issued: 0,
-            supplied: 0,
             restarts: 0,
         }
     }
@@ -147,17 +126,15 @@ impl FdipCore {
 /// The FDIP prefetcher for a whole CMP (one exploration engine per core).
 pub struct Fdip<'p> {
     program: &'p Program,
-    cfg: FdipConfig,
     cores: Vec<FdipCore>,
 }
 
 impl<'p> Fdip<'p> {
     /// Creates FDIP over the program image shared by all `num_cores` cores.
-    pub fn new(program: &'p Program, num_cores: usize, cfg: FdipConfig) -> Fdip<'p> {
+    pub fn new(program: &'p Program, num_cores: usize) -> Fdip<'p> {
         Fdip {
             program,
-            cfg,
-            cores: (0..num_cores).map(|_| FdipCore::new(&cfg)).collect(),
+            cores: (0..num_cores).map(|_| FdipCore::new()).collect(),
         }
     }
 
@@ -180,12 +157,9 @@ impl<'p> Fdip<'p> {
         let block = pc.block();
         if core.last_explored_block != Some(block) {
             core.last_explored_block = Some(block);
-            if !core.l1_mirror.peek(block)
-                && !core.buffer.contains(block)
-                && !core.inflight.contains(block)
-            {
+            if !core.l1.holds(block) && !core.buffer.holds(block) {
                 if let Some(resp) = ctx.l2.request(ctx.now, block, L2ReqKind::IPrefetch, None) {
-                    core.inflight.insert(resp.ready, block, ());
+                    core.buffer.issue(block, resp.ready, ());
                     core.issued += 1;
                 }
             }
@@ -260,8 +234,8 @@ impl IPrefetcher for Fdip<'_> {
         "fdip"
     }
 
-    fn on_fetch_instr(&mut self, _ctx: &mut PrefetchCtx<'_>, rec: &FetchRecord) {
-        let core = &mut self.cores[_ctx.core];
+    fn on_fetch_instr(&mut self, ctx: &mut PrefetchCtx<'_>, rec: &FetchRecord) {
+        let core = &mut self.cores[ctx.core];
         core.train(rec);
 
         // Synchronize exploration with the committed stream.
@@ -313,43 +287,26 @@ impl IPrefetcher for Fdip<'_> {
         kind: FetchKind,
     ) -> Option<u64> {
         let core = &mut self.cores[ctx.core];
-        // Mirror the L1's view (demand fill + next-line fills).
-        for d in 0..=4u64 {
-            core.l1_mirror.insert(block.offset(d));
-        }
+        // Keep the L1 view current (demand fill + next-line fills).
+        core.l1.fill(block);
         if kind == FetchKind::L1Hit {
             return None;
         }
-        if let Some(ready) = core.buffer.take(block) {
-            core.supplied += 1;
-            return Some(ready.max(ctx.now));
-        }
-        if let Some((ready, ())) = core.inflight.remove(block) {
-            core.supplied += 1;
-            return Some(ready.max(ctx.now));
-        }
-        None
+        let (ready, ()) = core.buffer.take(block)?;
+        Some(ready.max(ctx.now))
     }
 
     fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
         for i in 0..self.cores.len() {
-            // Drain completed prefetches into the buffer. The buffer is
-            // LRU-ordered, so arrival order matters; the fill queue pops
-            // in (ready, address) order structurally.
-            {
-                let core = &mut self.cores[i];
-                while let Some((r, b, ())) = core.inflight.pop_ready(ctx.now) {
-                    core.buffer.insert(b, r);
-                }
-            }
-            // Explore ahead: up to explore_per_cycle instructions, one
+            self.cores[i].buffer.drain(ctx.now);
+            // Explore ahead: up to EXPLORE_PER_CYCLE instructions, one
             // branch per cycle, within the instruction/branch windows.
             let mut steps = 0;
             loop {
                 let core = &mut self.cores[i];
-                if steps >= self.cfg.explore_per_cycle
-                    || core.path.len() >= self.cfg.max_instrs_ahead
-                    || core.branches_in_path >= self.cfg.max_branches_ahead
+                if steps >= EXPLORE_PER_CYCLE
+                    || core.path.len() >= MAX_INSTRS_AHEAD
+                    || core.branches_in_path >= MAX_BRANCHES_AHEAD
                 {
                     break;
                 }
@@ -370,7 +327,7 @@ impl IPrefetcher for Fdip<'_> {
     fn on_flush(&mut self, ctx: &mut PrefetchCtx<'_>) {
         // Everything trained on or derived from the outgoing program's
         // stream dies: predictors, RAS, BTB, the exploration path, and
-        // the buffered/in-flight blocks it steered. The L1 mirror stays
+        // the buffered/in-flight blocks it steered. The L1 view stays
         // — caches keep their contents across a context switch.
         let core = &mut self.cores[ctx.core];
         core.bpred = HybridPredictor::table2();
@@ -384,13 +341,11 @@ impl IPrefetcher for Fdip<'_> {
         core.last_explored_block = None;
         core.restart_pending = true;
         core.buffer.clear();
-        core.inflight = FillQueue::new();
     }
 
     fn reset_counters(&mut self) {
         for c in &mut self.cores {
             c.issued = 0;
-            c.supplied = 0;
             c.restarts = 0;
             c.buffer.reset_counters();
         }
@@ -398,7 +353,7 @@ impl IPrefetcher for Fdip<'_> {
 
     fn counters(&self) -> Vec<(String, f64)> {
         let issued: u64 = self.cores.iter().map(|c| c.issued).sum();
-        let supplied: u64 = self.cores.iter().map(|c| c.supplied).sum();
+        let supplied: u64 = self.cores.iter().map(|c| c.buffer.hits()).sum();
         let restarts: u64 = self.cores.iter().map(|c| c.restarts).sum();
         let discards: u64 = self.cores.iter().map(|c| c.buffer.discards()).sum();
         vec![
@@ -445,11 +400,7 @@ mod tests {
         let w = Workload::build(&WorkloadSpec::web_zeus(), 5);
         let n = 300_000;
         let base = run_with(&w, Box::new(NullPrefetcher), n);
-        let fdip = run_with(
-            &w,
-            Box::new(Fdip::new(&w.program, 1, FdipConfig::default())),
-            n,
-        );
+        let fdip = run_with(&w, Box::new(Fdip::new(&w.program, 1)), n);
         let base_misses = base.cores[0].baseline_misses();
         assert!(base_misses > 100, "workload must miss: {base_misses}");
         let coverage = fdip.cores[0].coverage();
@@ -505,7 +456,7 @@ mod tests {
             },
         ]);
 
-        let mut fdip = Fdip::new(&program, 1, FdipConfig::default());
+        let mut fdip = Fdip::new(&program, 1);
         let mut l2 = L2::new(&SystemConfig::single_core());
         let mut ctx = PrefetchCtx {
             now: 0,
@@ -534,11 +485,7 @@ mod tests {
     #[test]
     fn fdip_restarts_on_divergence() {
         let w = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let report = run_with(
-            &w,
-            Box::new(Fdip::new(&w.program, 1, FdipConfig::default())),
-            100_000,
-        );
+        let report = run_with(&w, Box::new(Fdip::new(&w.program, 1)), 100_000);
         let restarts = report.prefetcher_counter("restarts").unwrap_or(0.0);
         assert!(
             restarts > 0.0,

@@ -13,11 +13,11 @@
 
 use std::collections::VecDeque;
 
+use tifs_collections::FillQueue;
 use tifs_trace::{BlockAddr, FetchRecord, MemClass};
 
 use crate::bpred::{HybridPredictor, ReturnAddressStack, TargetBuffer};
 use crate::cache::SetAssocCache;
-use crate::collections::FillQueue;
 use crate::config::SystemConfig;
 use crate::l2::{L2ReqKind, L2};
 use crate::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};

@@ -8,18 +8,18 @@
 //!
 //! * [`config`] — Table II parameters;
 //! * [`cache`] — set-associative LRU caches;
-//! * [`collections`] — deterministic hot-path structures: structural
-//!   drain-order fill queues and open-addressed block maps;
 //! * [`l2`] — banked L2 + memory timing, traffic accounting (Figure 12);
 //! * [`bpred`] — hybrid gShare/bimodal predictor, RAS, BTB;
 //! * [`core`] — fetch unit, pre-dispatch queue, ROB back end;
 //! * [`cmp`] — the whole chip, stepped cycle by cycle;
-//! * [`prefetch`] — the [`IPrefetcher`] interface
-//!   TIFS and the baselines implement;
+//! * [`prefetch`] — the [`IPrefetcher`] interface TIFS and the baselines
+//!   implement, and the [`PrefetchBuffer`](prefetch::PrefetchBuffer) they
+//!   fill;
 //! * [`metadata`] — port arbitration for chip-shared prefetcher
 //!   metadata (the sharing-study timing model);
 //! * [`miss_trace`](mod@miss_trace) — the functional fetch model producing the L1-I miss
-//!   traces the opportunity analyses consume;
+//!   traces the opportunity analyses consume, and answering the
+//!   prefetchers' L1 residency probes;
 //! * [`stats`] — per-core and whole-run reports.
 //!
 //! # Quickstart
@@ -45,7 +45,6 @@
 pub mod bpred;
 pub mod cache;
 pub mod cmp;
-pub mod collections;
 pub mod config;
 pub mod core;
 pub mod l2;

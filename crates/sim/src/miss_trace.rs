@@ -5,13 +5,20 @@
 //! cache or the next-line prefetcher (paper Section 4.1). This module
 //! replays an instruction stream through a 64 KB 2-way L1-I with a
 //! continually-running next-line prefetcher and records the miss sequence.
+//!
+//! The same model is the L1 view of the TIFS and FDIP timing prefetchers:
+//! each keeps one per core, [`fill`](FunctionalFetchModel::fill)s it on
+//! every fetched block, and probes it with
+//! [`holds`](FunctionalFetchModel::holds) before issuing a prefetch (the
+//! paper grants both unlimited L1 tag-port bandwidth for these probes).
 
 use tifs_trace::{Addr, BlockAddr, FetchRecord};
 
 use crate::cache::SetAssocCache;
 use crate::config::SystemConfig;
 
-/// Functional L1-I + next-line prefetcher.
+/// Functional L1-I + next-line prefetcher: the miss-trace model, and the
+/// residency probe of the TIFS and FDIP prefetchers.
 #[derive(Clone, Debug)]
 pub struct FunctionalFetchModel {
     l1i: SetAssocCache,
@@ -70,16 +77,26 @@ impl FunctionalFetchModel {
     /// Performs one block-transition access; returns `true` on a miss.
     pub fn access_block(&mut self, block: BlockAddr) -> bool {
         self.accesses += 1;
+        // A hit promotes `block` to MRU, where `fill` finds it again.
         let hit = self.l1i.access(block);
-        // Fill the demanded block and the next-line prefetches.
-        self.l1i.insert(block);
-        for d in 1..=self.next_line_depth {
-            self.l1i.insert(block.offset(d));
-        }
+        self.fill(block);
         if !hit {
             self.misses += 1;
         }
         !hit
+    }
+
+    /// Fills the demanded `block` and its next-line prefetches, `block`
+    /// through `block + next_line_depth`, without counting an access.
+    pub fn fill(&mut self, block: BlockAddr) {
+        for d in 0..=self.next_line_depth {
+            self.l1i.insert(block.offset(d));
+        }
+    }
+
+    /// Whether the L1-I holds `block` (a tag probe: no LRU update).
+    pub fn holds(&self, block: BlockAddr) -> bool {
+        self.l1i.peek(block)
     }
 
     /// (block transitions, misses) so far.

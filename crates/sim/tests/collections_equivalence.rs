@@ -28,8 +28,8 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use tifs_collections::{BlockMap, FillQueue};
 use tifs_sim::cache::SetAssocCache;
-use tifs_sim::collections::{BlockMap, FillQueue};
 use tifs_trace::BlockAddr;
 
 /// Deterministic op-stream generator (splitmix-style).

@@ -5,7 +5,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use tifs::core::{FunctionalConfig, FunctionalTifs};
+use tifs::core::{FunctionalTifs, TifsConfig};
 use tifs::sim::config::SystemConfig;
 use tifs::sim::miss_trace::miss_trace;
 use tifs::trace::exec::DataProfile;
@@ -54,7 +54,7 @@ fn main() {
     // Miss trace of 200k instructions + functional TIFS coverage estimate
     // (no timing).
     let misses = miss_trace(workload.walker(0).take(200_000), &SystemConfig::table2());
-    let mut functional = FunctionalTifs::new(1, FunctionalConfig::default());
+    let mut functional = FunctionalTifs::new(1, Some(TifsConfig::DEFAULT_ENTRIES_PER_CORE));
     for &b in &misses {
         functional.process(0, b);
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use tifs::core::{TifsConfig, TifsPrefetcher};
-use tifs::prefetch::{Fdip, FdipConfig};
+use tifs::prefetch::Fdip;
 use tifs::sim::cmp::Cmp;
 use tifs::sim::config::SystemConfig;
 use tifs::sim::prefetch::{IPrefetcher, NullPrefetcher};
@@ -122,11 +122,7 @@ fn main() {
     println!("Section 3 scenarios: hammock-dense scheduler -> highbit() -> core_output_filter()");
     println!("(working set exceeds L1-I; every block sequence is identical across invocations)\n");
     let base = run(Box::new(NullPrefetcher));
-    let fdip = run(Box::new(Fdip::new(
-        &workload.program,
-        1,
-        FdipConfig::default(),
-    )));
+    let fdip = run(Box::new(Fdip::new(&workload.program, 1)));
     let tifs = run(Box::new(TifsPrefetcher::new(1, TifsConfig::virtualized())));
 
     let report = |name: &str, r: &tifs::sim::stats::SimReport| {

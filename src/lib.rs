@@ -14,7 +14,11 @@
 //! * [`trace`] — workload generation, instruction records, the store
 //!   entry codecs and the trace and report stores;
 //! * [`sim`] — caches, banked L2, cycle-level cores, branch predictors,
-//!   the next-line prefetcher and the CMP harness;
+//!   the next-line prefetcher and the CMP harness, plus the two models
+//!   the prefetchers share: the prefetch buffer that the SVB, FDIP and
+//!   the discontinuity prefetcher fill, and the functional L1-I that
+//!   produces the miss traces and answers TIFS's and FDIP's residency
+//!   probes;
 //! * [`prefetch`] — the baseline prefetchers (FDIP, discontinuity, the
 //!   probabilistic and perfect bounds);
 //! * [`core`] — the TIFS mechanism (IML, Index Table, SVB);
