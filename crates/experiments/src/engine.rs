@@ -62,12 +62,13 @@ use tifs_sim::config::SystemConfig;
 use tifs_sim::prefetch::{IPrefetcher, NullPrefetcher};
 use tifs_sim::stats::{SimReport, SIM_REPORT_LAYOUT_VERSION};
 use tifs_trace::codec::REPORT_VERSION;
+use tifs_trace::exec::Walker;
 use tifs_trace::filter::to_symbols;
 use tifs_trace::store::{
     hash_workload_spec, Fingerprint, ReportKey, ReportStore, TraceKey, TraceStore,
 };
 use tifs_trace::workload::{distinct_shapes, CellPrograms, CellWorkload, Workload, WorkloadSpec};
-use tifs_trace::{BlockAddr, FetchRecord};
+use tifs_trace::BlockAddr;
 
 use crate::harness::{walk_core, ExpConfig, SystemKind};
 
@@ -264,8 +265,10 @@ pub fn build_prefetcher<'a>(
 
 /// Runs one grid cell: `system` on the `sys` CMP, core `c` walking
 /// [`CellPrograms::walker`]`(c)`. The only place in the experiments crate
-/// that constructs core fetch streams. A homogeneous cell is the
-/// degenerate case: every core walks the one slot-0 program.
+/// that constructs core fetch streams. It builds a `Cmp<Walker>`, so the
+/// cores call their walkers directly instead of through boxed streams.
+/// A homogeneous cell is the degenerate case: every core walks the one
+/// slot-0 program.
 ///
 /// The prefetcher is built against core 0's workload; that argument only
 /// matters to [`SystemKind::Fdip`], which pre-decodes one program image —
@@ -278,9 +281,7 @@ pub fn run_cell(
     exp: &ExpConfig,
     sys: &SystemConfig,
 ) -> SimReport {
-    let streams: Vec<_> = (0..sys.num_cores)
-        .map(|c| Box::new(programs.walker(c)) as Box<dyn Iterator<Item = FetchRecord>>)
-        .collect();
+    let streams: Vec<Walker<'_>> = (0..sys.num_cores).map(|c| programs.walker(c)).collect();
     let pf = build_prefetcher(system, programs.workload_for_core(0), sys, exp.seed);
     let mut cmp = Cmp::new(sys.clone(), streams, pf);
     cmp.run_with_warmup(exp.warmup, exp.instructions)
@@ -1076,6 +1077,7 @@ impl<'a> RowView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tifs_trace::FetchRecord;
 
     fn tiny_exp() -> ExpConfig {
         ExpConfig {

@@ -19,19 +19,37 @@ pub struct CapacityCurve {
     pub points: Vec<(f64, f64)>,
 }
 
+/// Per-core IML entries of a total storage budget of `kb` kilobytes.
+fn entries_at(kb: f64) -> usize {
+    entries_per_core_for_kb(kb, ANALYSIS_CORES).max(tifs_core::ENTRIES_PER_L2_BLOCK)
+}
+
 /// Runs the Figure 11 sweep (4 cores, shared index) over the lab's
 /// cached miss traces.
+///
+/// A log that holds a core's whole trace never evicts. So from the first
+/// budget whose logs hold the longest per-core trace on, every budget
+/// replays the same logs to the same coverage, and the sweep stops there
+/// and reuses that coverage for the larger budgets.
 pub fn run_on(lab: &Lab) -> Vec<CapacityCurve> {
     lab.analyze(|ctx| {
         let traces = ctx.miss_traces();
+        let longest = traces.iter().map(Vec::len).max().unwrap_or(0);
+        let mut unevicted = None;
         let points = STORAGE_KB
             .iter()
             .map(|&kb| {
-                let entries = entries_per_core_for_kb(kb, ANALYSIS_CORES)
-                    .max(tifs_core::ENTRIES_PER_L2_BLOCK);
+                if let Some(coverage) = unevicted {
+                    return (kb, coverage);
+                }
+                let entries = entries_at(kb);
                 let mut f = FunctionalTifs::new(ANALYSIS_CORES, Some(entries));
                 f.process_interleaved(traces);
-                (kb, f.report().coverage())
+                let coverage = f.report().coverage();
+                if entries >= longest {
+                    unevicted = Some(coverage);
+                }
+                (kb, coverage)
             })
             .collect();
         CapacityCurve {
@@ -56,4 +74,50 @@ pub fn structured(results: &[CapacityCurve]) -> StructuredReport {
         report.push_row(row);
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use tifs_trace::workload::WorkloadSpec;
+
+    use super::*;
+    use crate::harness::ExpConfig;
+
+    /// Every point, reused or not, equals a fresh sweep at its budget, on
+    /// a lab whose OLTP curve evicts at the small budgets and stops
+    /// evicting partway up.
+    #[test]
+    fn reused_points_equal_fresh_sweeps() {
+        let exp = ExpConfig {
+            instructions: 300_000,
+            warmup: 0,
+            seed: 3,
+        };
+        let lab = Lab::build(
+            vec![WorkloadSpec::oltp_db2(), WorkloadSpec::tiny_server()],
+            exp,
+        );
+        let curves = run_on(&lab);
+        for (i, curve) in curves.iter().enumerate() {
+            let traces = lab.miss_traces(i);
+            let longest = traces.iter().map(Vec::len).max().expect("four cores");
+            for &(kb, coverage) in &curve.points {
+                let mut f = FunctionalTifs::new(ANALYSIS_CORES, Some(entries_at(kb)));
+                f.process_interleaved(traces);
+                assert_eq!(
+                    coverage,
+                    f.report().coverage(),
+                    "{} at {kb} KB",
+                    curve.workload
+                );
+            }
+            let holding = STORAGE_KB.iter().filter(|&&kb| entries_at(kb) >= longest);
+            assert!(holding.count() >= 2, "{}: nothing reused", curve.workload);
+        }
+        let db2 = lab.miss_traces(0).iter().map(Vec::len).max();
+        assert!(
+            db2 > Some(entries_at(STORAGE_KB[0])),
+            "the smallest budget must evict"
+        );
+    }
 }

@@ -24,10 +24,12 @@ use tifs_trace::store::{hash_workload_spec, Fingerprint, ReportStore};
 use tifs_trace::workload::{CellWorkload, Workload, WorkloadSpec};
 
 /// Reduced grid: 2 cores, one pinching budget, and a two-tenant fleet
-/// built from `tiny_server` variants (whose hot text overflows the
-/// L1-I — flush recovery needs misses to measure) — every scenario arm
-/// (uniform / skewed / consolidated), both flush arms, and every
-/// organization appear, at unit-test cost.
+/// built from `tiny_server` variants — every scenario arm (uniform /
+/// skewed / consolidated), both flush arms, and every organization
+/// appear, at unit-test cost. `tiny_server`'s text fits the L1-I: its
+/// misses are first touches within a core's first 100k instructions.
+/// The 4k/4k grid runs inside that cold phase, so flush recovery has
+/// misses to measure.
 const CORES: usize = 2;
 const BUDGETS_KB: [f64; 1] = [4.875];
 

@@ -99,7 +99,7 @@ impl FdipCore {
     fn restart_from(&mut self, program: &Program, pc: Addr) {
         self.explore = Cursor::decode(program, pc);
         self.spec_history = self.bpred.history();
-        self.spec_ras = self.ras.clone();
+        self.spec_ras.clone_from(&self.ras);
         self.path.clear();
         self.branches_in_path = 0;
         self.last_explored_block = None;

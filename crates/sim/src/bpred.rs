@@ -136,10 +136,25 @@ impl HybridPredictor {
 }
 
 /// Return address stack.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReturnAddressStack {
     stack: Vec<Addr>,
     capacity: usize,
+}
+
+/// Written out so that `clone_from` reuses the stack's allocation.
+impl Clone for ReturnAddressStack {
+    fn clone(&self) -> ReturnAddressStack {
+        ReturnAddressStack {
+            stack: self.stack.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &ReturnAddressStack) {
+        self.stack.clone_from(&source.stack);
+        self.capacity = source.capacity;
+    }
 }
 
 impl ReturnAddressStack {

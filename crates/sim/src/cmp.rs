@@ -9,7 +9,12 @@ use crate::l2::L2;
 use crate::prefetch::{IPrefetcher, PrefetchCtx};
 use crate::stats::SimReport;
 
-/// The chip multiprocessor under simulation.
+/// The chip multiprocessor under simulation, its cores replaying streams
+/// of type `S`.
+///
+/// The experiments run `Cmp<Walker>`, so each core's fetch calls the
+/// walker directly. The boxed default takes any stream: test probes and
+/// wrappers that trace a walker.
 ///
 /// # Example
 ///
@@ -29,26 +34,25 @@ use crate::stats::SimReport;
 /// assert_eq!(report.total_retired(), 20_000);
 /// assert!(report.aggregate_ipc() > 0.0);
 /// ```
-pub struct Cmp<'a> {
-    cores: Vec<Core<'a>>,
+pub struct Cmp<'a, S = Box<dyn Iterator<Item = FetchRecord> + 'a>> {
+    cores: Vec<Core<S>>,
     l2: L2,
     pf: Box<dyn IPrefetcher + 'a>,
     now: u64,
     /// Reused eviction-delivery buffer (see [`Cmp::tick`]).
     evict_scratch: Vec<BlockAddr>,
+    /// Core ticks the wake gate skipped.
+    #[cfg(test)]
+    skipped: u64,
 }
 
-impl<'a> Cmp<'a> {
+impl<'a, S: Iterator<Item = FetchRecord>> Cmp<'a, S> {
     /// Builds a CMP over per-core instruction streams and one prefetcher.
     ///
     /// # Panics
     ///
     /// Panics if the number of streams differs from `cfg.num_cores`.
-    pub fn new(
-        cfg: SystemConfig,
-        streams: Vec<Box<dyn Iterator<Item = FetchRecord> + 'a>>,
-        pf: Box<dyn IPrefetcher + 'a>,
-    ) -> Cmp<'a> {
+    pub fn new(cfg: SystemConfig, streams: Vec<S>, pf: Box<dyn IPrefetcher + 'a>) -> Cmp<'a, S> {
         assert_eq!(
             streams.len(),
             cfg.num_cores,
@@ -65,6 +69,8 @@ impl<'a> Cmp<'a> {
             pf,
             now: 0,
             evict_scratch: Vec::new(),
+            #[cfg(test)]
+            skipped: 0,
         }
     }
 
@@ -124,9 +130,20 @@ impl<'a> Cmp<'a> {
     /// shared-metadata ports of [`MetadataPorts`](crate::metadata::MetadataPorts))
     /// inherit that order as their arbitration order, which is what keeps
     /// contended runs bit-reproducible at any host thread count.
+    ///
+    /// A core is skipped until its wake cycle: the ticks before it
+    /// would make no request and call no prefetcher hook, so skipping
+    /// them leaves that order, and every output, unchanged.
     pub fn tick(&mut self) {
         for core in &mut self.cores {
-            core.tick(self.now, &mut self.l2, self.pf.as_mut());
+            if self.now >= core.wake_at() {
+                core.tick(self.now, &mut self.l2, self.pf.as_mut());
+            } else {
+                #[cfg(test)]
+                {
+                    self.skipped += 1;
+                }
+            }
         }
         // Deliver evictions raised by this cycle's core requests *before*
         // the prefetcher tick: Index-Table invalidations must not lag the
@@ -172,12 +189,127 @@ impl<'a> Cmp<'a> {
     }
 }
 
-impl std::fmt::Debug for Cmp<'_> {
+impl<S> std::fmt::Debug for Cmp<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cmp")
             .field("now", &self.now)
             .field("cores", &self.cores.len())
             .field("prefetcher", &self.pf.name())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tifs_trace::workload::{Workload, WorkloadSpec};
+
+    use super::*;
+    use crate::prefetch::{FetchKind, NullPrefetcher};
+
+    /// Supplies a third of the blocks it is offered at once and a third
+    /// 15 cycles late, so fetch sees timely and late prefetch hits beside
+    /// demand misses and next-line waits.
+    struct TimelyAndLate;
+
+    impl IPrefetcher for TimelyAndLate {
+        fn name(&self) -> &'static str {
+            "timely-and-late"
+        }
+
+        fn on_block_fetch(
+            &mut self,
+            ctx: &mut PrefetchCtx<'_>,
+            block: BlockAddr,
+            kind: FetchKind,
+        ) -> Option<u64> {
+            match (kind, block.0 % 3) {
+                (FetchKind::L1Hit, _) | (_, 0) => None,
+                (_, 1) => Some(ctx.now),
+                _ => Some(ctx.now + 15),
+            }
+        }
+    }
+
+    fn sum(report: &SimReport, counter: fn(&crate::stats::CoreStats) -> u64) -> u64 {
+        report.cores.iter().map(counter).sum()
+    }
+
+    /// Skipping a core until its wake cycle, with the per-cycle counters
+    /// charged when it goes to sleep, reports exactly what ticking every
+    /// core on every cycle reports. Each case also names the counter it
+    /// is there to exercise, which must be nonzero.
+    #[test]
+    fn gated_core_ticks_match_ticking_every_cycle() {
+        let mshrs = |n| SystemConfig {
+            l2_mshrs: n,
+            ..SystemConfig::table2()
+        };
+        let null = || Box::new(NullPrefetcher) as Box<dyn IPrefetcher>;
+        type Case = (
+            &'static str,
+            WorkloadSpec,
+            SystemConfig,
+            fn() -> Box<dyn IPrefetcher>,
+            fn(&SimReport) -> u64,
+        );
+        let cases: [Case; 6] = [
+            (
+                "table2",
+                WorkloadSpec::web_zeus(),
+                SystemConfig::table2(),
+                null,
+                |r| sum(r, |c| c.fetch_stall_cycles),
+            ),
+            ("2 MSHRs", WorkloadSpec::oltp_db2(), mshrs(2), null, |r| {
+                r.l2.mshr_rejects
+            }),
+            ("6 MSHRs", WorkloadSpec::web_zeus(), mshrs(6), null, |r| {
+                r.l2.mshr_rejects
+            }),
+            (
+                "ctx-switch",
+                WorkloadSpec::web_zeus().with_ctx_switch_period(700),
+                SystemConfig::table2(),
+                null,
+                |r| sum(r, |c| c.refill_cycles),
+            ),
+            (
+                "duty-cycled/ctx-switch",
+                WorkloadSpec::oltp_db2()
+                    .with_duty_cycle(0.5)
+                    .with_ctx_switch_period(2_000),
+                SystemConfig::table2(),
+                null,
+                |r| sum(r, |c| c.refill_cycles),
+            ),
+            (
+                "timely and late",
+                WorkloadSpec::oltp_db2(),
+                SystemConfig::table2(),
+                || Box::new(TimelyAndLate),
+                |r| sum(r, |c| c.prefetch_hits),
+            ),
+        ];
+        for (label, spec, sys, pf, exercised) in cases {
+            let w = Workload::build(&spec, 7);
+            let run = |stay_awake: bool| {
+                let streams = (0..sys.num_cores).map(|c| w.walker(c)).collect();
+                let mut cmp = Cmp::new(sys.clone(), streams, pf());
+                if stay_awake {
+                    cmp.cores.iter_mut().for_each(Core::stay_awake);
+                }
+                let report = cmp.run_with_warmup(2_000, 5_000);
+                (report, cmp.skipped)
+            };
+            let (gated, skipped) = run(false);
+            let (reference, none) = run(true);
+            assert_eq!(none, 0, "{label}: the reference skipped a tick");
+            assert!(
+                gated.to_canonical_bytes() == reference.to_canonical_bytes(),
+                "{label}: gated report differs from the every-cycle one"
+            );
+            assert!(skipped > 0, "{label}: the gate never skipped a tick");
+            assert!(exercised(&gated) > 0, "{label}: the case exercised nothing");
+        }
     }
 }

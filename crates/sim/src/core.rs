@@ -60,8 +60,12 @@ const COV_WINDOW: usize = 64;
 /// of lucky early hits must not declare the metadata refilled).
 const COV_MIN_SAMPLES: usize = 16;
 
-/// One core of the simulated CMP.
-pub struct Core<'a> {
+/// One core of the simulated CMP, replaying the instruction stream `S`.
+///
+/// After each tick the core records in `wake_at` the first cycle
+/// at which its next tick can change anything (see [`Core::tick`]); the
+/// CMP skips it until then.
+pub struct Core<S> {
     id: usize,
     width: usize,
     rob_cap: usize,
@@ -71,7 +75,7 @@ pub struct Core<'a> {
     mispredict_penalty: u64,
     store_writeback_prob: f64,
 
-    stream: Box<dyn Iterator<Item = FetchRecord> + 'a>,
+    stream: S,
     l1i: SetAssocCache,
     nl_inflight: FillQueue,
     cur_block: Option<BlockAddr>,
@@ -109,16 +113,18 @@ pub struct Core<'a> {
     /// L1-resident phase (or workload) must not have its whole duration
     /// charged as refill.
     refill_billing: bool,
+
+    /// First cycle at which the next tick can change anything.
+    wake_at: u64,
+    /// Ticks every cycle, charging the per-cycle counters one tick at a
+    /// time: the ungated reference the wake gate is tested against.
+    #[cfg(test)]
+    stay_awake: bool,
 }
 
-impl<'a> Core<'a> {
+impl<S: Iterator<Item = FetchRecord>> Core<S> {
     /// Creates a core replaying `stream`.
-    pub fn new(
-        id: usize,
-        cfg: &SystemConfig,
-        stream: Box<dyn Iterator<Item = FetchRecord> + 'a>,
-        quota: u64,
-    ) -> Core<'a> {
+    pub fn new(id: usize, cfg: &SystemConfig, stream: S, quota: u64) -> Core<S> {
         Core {
             id,
             width: cfg.width,
@@ -150,6 +156,9 @@ impl<'a> Core<'a> {
             cov_hits: 0,
             refill_target: None,
             refill_billing: false,
+            wake_at: 0,
+            #[cfg(test)]
+            stay_awake: false,
         }
     }
 
@@ -183,6 +192,18 @@ impl<'a> Core<'a> {
         self.finished_at.is_some()
     }
 
+    /// The first cycle at which the next [`tick`](Core::tick) can change
+    /// anything; ticks before it may be skipped.
+    pub(crate) fn wake_at(&self) -> u64 {
+        self.wake_at
+    }
+
+    /// Makes the core tick every cycle (see the `stay_awake` field).
+    #[cfg(test)]
+    pub(crate) fn stay_awake(&mut self) {
+        self.stay_awake = true;
+    }
+
     fn rng(&mut self) -> u64 {
         let mut x = self.rng_state;
         x ^= x << 13;
@@ -198,7 +219,15 @@ impl<'a> Core<'a> {
         BlockAddr(0x4000_0000 + (self.rng() % (1 << 22)))
     }
 
-    /// Advances the core one cycle.
+    /// Advances the core one cycle, then sets its wake cycle.
+    ///
+    /// A tick of an unfinished core before its wake cycle would retire,
+    /// dispatch and fetch nothing, and would only bump the two per-cycle
+    /// counters, which `sleep` has already charged for all those cycles.
+    /// So the caller must skip those ticks, as [`Cmp::tick`] does; the
+    /// counters run ahead of `now` while the core sleeps.
+    ///
+    /// [`Cmp::tick`]: crate::cmp::Cmp::tick
     pub fn tick(&mut self, now: u64, l2: &mut L2, pf: &mut dyn IPrefetcher) {
         if self.finished_at.is_some() {
             return;
@@ -212,6 +241,57 @@ impl<'a> Core<'a> {
         }
         self.dispatch(now, l2);
         self.fetch(now, l2, pf);
+        self.sleep(now);
+    }
+
+    /// Sets `wake_at` after the tick at `now`, and charges the per-cycle
+    /// counters for the ticks it skips.
+    ///
+    /// The core wakes next cycle if dispatch can proceed or must retry,
+    /// if fetch can proceed, or if a fill waits for an MSHR. Otherwise
+    /// nothing moves before the earliest of four cycles: the ROB head's
+    /// completion, the oldest next-line fill's arrival, the end of a
+    /// redirect bubble, and the pending fill's arrival. The two per-cycle
+    /// counters then move for every skipped tick or for none: billing
+    /// changes only at fetch, and a bubble that covers the first skipped
+    /// tick lasts until `wake_at`.
+    fn sleep(&mut self, now: u64) {
+        let next = now + 1;
+        #[cfg(test)]
+        if self.stay_awake {
+            self.wake_at = next;
+            return;
+        }
+        let dispatch = !self.fetch_q.is_empty() && self.rob.len() < self.rob_cap;
+        let fetch = self.fill_wait.is_none()
+            && self.stalled_until <= now
+            && self.fetch_q.len() < self.fetch_q_cap;
+        if dispatch || fetch {
+            self.wake_at = next;
+            return;
+        }
+        let mut wake = self.rob.front().map_or(u64::MAX, |e| e.done_at);
+        if let Some(&(ready, _, ())) = self.nl_inflight.iter().last() {
+            wake = wake.min(ready);
+        }
+        if self.stalled_until > now {
+            wake = wake.min(self.stalled_until);
+        }
+        // A fill still waiting for an MSHR has `ready` 0, so it retries
+        // next cycle.
+        if let Some(fw) = self.fill_wait {
+            wake = wake.min(fw.ready);
+        }
+        self.wake_at = wake.max(next);
+        let skipped = self.wake_at - next;
+        if self.refill_target.is_some() && self.refill_billing {
+            self.stats.refill_cycles += skipped;
+        }
+        // Outside a bubble, a skipped tick stalls on the issued fill,
+        // which arrives at `wake_at` at the earliest.
+        if self.fill_wait.is_some() && self.stalled_until <= now {
+            self.stats.fetch_stall_cycles += skipped;
+        }
     }
 
     fn retire(&mut self, now: u64, l2: &mut L2, pf: &mut dyn IPrefetcher) {
@@ -630,7 +710,7 @@ impl<'a> Core<'a> {
     }
 }
 
-impl std::fmt::Debug for Core<'_> {
+impl<S> std::fmt::Debug for Core<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)

@@ -355,6 +355,7 @@ impl<'p> Walker<'p> {
     }
 
     /// The record class of a plain op, drawing a load's latency class.
+    #[inline]
     fn mem_class(&mut self, mem: PlainMem) -> MemClass {
         match mem {
             PlainMem::Load => self.draw_load_class(),
@@ -576,15 +577,38 @@ impl<'p> Walker<'p> {
 impl Iterator for Walker<'_> {
     type Item = FetchRecord;
 
+    /// Inlinable, so a caller monomorphized over `Walker` (the simulator's
+    /// core fetch) takes a run's ops in line. Everything else is one call
+    /// to `next_past_run`, which keeps the functions `step` shares with it
+    /// out of other crates.
+    #[inline]
     fn next(&mut self) -> Option<FetchRecord> {
-        if self.run.left == 0 && !self.begin_run() {
-            return Some(self.one_instruction());
+        if self.run.left == 0 {
+            return Some(self.next_past_run());
         }
+        Some(self.take_run_op())
+    }
+}
+
+impl Walker<'_> {
+    /// [`Iterator::next`] once the current run is spent: forms a run and
+    /// takes its first op, or emits one instruction.
+    fn next_past_run(&mut self) -> FetchRecord {
+        if self.begin_run() {
+            self.take_run_op()
+        } else {
+            self.one_instruction()
+        }
+    }
+
+    /// Emits the current run's next op as a record.
+    #[inline]
+    fn take_run_op(&mut self) -> FetchRecord {
         let mut record = FetchRecord::plain(self.run.pc);
         record.mem = self.mem_class(self.program.plain_mem(self.run.pos));
         self.run.advance(1);
         self.instructions += 1;
-        Some(record)
+        record
     }
 }
 

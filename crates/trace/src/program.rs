@@ -291,6 +291,9 @@ struct Image {
     funcs: Box<[FuncEntry]>,
     /// Function ids sorted by base address, for decode.
     by_base: Box<[u32]>,
+    /// The base of each function in `by_base`, so decode's binary search
+    /// reads one array.
+    bases: Box<[u64]>,
     /// Every indirect call site's callee set, back to back.
     callees: Box<[FuncId]>,
     /// Callee set `i` is `callees[set_bounds[i]..set_bounds[i + 1]]`.
@@ -429,11 +432,13 @@ impl ImageBuilder {
             }
             _ => 0..0,
         };
+        let bases = by_base.iter().map(|&i| funcs[i as usize].base).collect();
         Program {
             image: Arc::new(Image {
                 ops: self.ops.into_boxed_slice(),
                 funcs,
                 by_base: by_base.into_boxed_slice(),
+                bases,
                 callees: self.callees.into_boxed_slice(),
                 set_bounds: self.set_bounds.into_boxed_slice(),
                 text,
@@ -600,9 +605,7 @@ impl Program {
     pub fn decode(&self, pc: Addr) -> Option<InstrRef> {
         let pc = pc.0.checked_sub(self.shift)?;
         let image = &*self.image;
-        let pos = image
-            .by_base
-            .partition_point(|&i| image.funcs[i as usize].base <= pc);
+        let pos = image.bases.partition_point(|&base| base <= pc);
         let fid = image.by_base[pos.checked_sub(1)?];
         let f = image.funcs[fid as usize];
         let off = pc - f.base;
