@@ -22,7 +22,7 @@
 //! these bands *with* the retune, in the same commit, deliberately.
 
 use tifs_sequitur::categorize::{categorize, CategoryCounts};
-use tifs_sequitur::heuristics::{evaluate_with_index, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{evaluate_with_index, Heuristic, DEFAULT_MAX_CANDIDATES};
 use tifs_sequitur::streams::stream_occurrences;
 use tifs_sequitur::{LceIndex, LengthCdf};
 use tifs_trace::filter::collapse_sequential;
@@ -136,7 +136,8 @@ pub struct Measurement {
 /// instructions through the Table II functional fetch model
 /// ([`walk_core`]): the miss density, the Figure 3 categories, Figure 5's
 /// median stream length over the sequentially collapsed trace, and
-/// Figure 6's Recent and Opportunity coverage over one suffix index.
+/// Figure 6's Recent and Opportunity coverage from one replay over one
+/// suffix index.
 pub fn measure(workload: &Workload, instructions: u64) -> Measurement {
     let walk = walk_core(workload, 0, instructions);
     let trace: Vec<u64> = walk.misses.iter().map(|b| b.0).collect();
@@ -147,7 +148,12 @@ pub fn measure(workload: &Workload, instructions: u64) -> Measurement {
         .collect();
     let cdf = LengthCdf::from_occurrences(&stream_occurrences(&collapsed));
     let lce = LceIndex::new(&trace);
-    let coverage = |h| evaluate_with_index(&trace, &lce, &HeuristicConfig::new(h)).coverage();
+    let replayed = evaluate_with_index(
+        &trace,
+        &lce,
+        &[Heuristic::Recent, Heuristic::Opportunity],
+        DEFAULT_MAX_CANDIDATES,
+    );
     let misses = trace.len() as u64;
     let miss_rate = if walk.block_transitions == 0 {
         0.0
@@ -163,8 +169,8 @@ pub fn measure(workload: &Workload, instructions: u64) -> Measurement {
         repetitive: counts.repetitive_fraction(),
         opportunity: counts.fractions()[0],
         median_len: cdf.quantile(0.5).unwrap_or(0),
-        recent_cov: coverage(Heuristic::Recent),
-        opportunity_cov: coverage(Heuristic::Opportunity),
+        recent_cov: replayed[0].coverage(),
+        opportunity_cov: replayed[1].coverage(),
     }
 }
 

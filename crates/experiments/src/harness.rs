@@ -127,7 +127,9 @@ pub struct CoreWalk {
 /// walks every analysis core with it, and Figure 10 reuses core 0's
 /// marks from that pass. The walk takes runs of plain ops whole
 /// ([`Walker::step`](tifs_trace::exec::Walker::step)); its misses and
-/// marks are those of the same walk one record at a time.
+/// marks are those of the same walk one record at a time. The walker's
+/// and the fetch model's per-run and per-block functions are
+/// `#[inline]`, so the walk compiles to one loop here.
 pub fn walk_core(workload: &Workload, core: usize, instructions: u64) -> CoreWalk {
     let mut model = FunctionalFetchModel::new(&SystemConfig::table2());
     let mut walk = CoreWalk::default();

@@ -17,12 +17,13 @@
 //! * [`Heuristic::Opportunity`] — the per-lookup oracle bound: among
 //!   remembered candidates, the one matching the actual future longest.
 //!
-//! The replay walks the miss trace once. At each *head* (a miss not covered
-//! by the active stream), the policy picks a prior occurrence of the head
-//! address; the stream following that occurrence is compared against the
-//! actual future with an O(1) longest-common-extension query and all matched
-//! misses are counted as eliminated. Heads themselves are never eliminated,
-//! matching the paper's `Head`/`Opportunity` accounting.
+//! One replay walks the miss trace once for any set of policies, each
+//! following its own streams. At each of a policy's *heads* (a miss not
+//! covered by its active stream), the policy picks a prior occurrence of
+//! the head address; the stream following that occurrence is compared
+//! against the actual future with an O(1) longest-common-extension query
+//! and all matched misses are counted as eliminated. Heads themselves are
+//! never eliminated, matching the paper's `Head`/`Opportunity` accounting.
 
 use crate::suffix::LceIndex;
 
@@ -113,19 +114,25 @@ impl HeuristicOutcome {
     }
 }
 
+/// Marks "no occurrence" in the replay's position links.
+const NONE: u32 = u32::MAX;
+
+/// One address's occurrences so far: the first, and the latest, from
+/// which the replay's `prev` links lead back through the others.
 #[derive(Clone, Copy, Debug)]
-struct Candidate {
-    pos: u32,
-    /// Longest stream observed to follow this occurrence so far (updated
-    /// retrospectively whenever the head address recurs). Used by `Longest`.
-    best_len: u32,
+struct Occurrences {
+    first: u32,
+    latest: u32,
 }
 
-#[derive(Clone, Debug, Default)]
-struct AddrState {
-    first: u32,
-    recent: u32,
-    candidates: Vec<Candidate>,
+/// One heuristic's replay state.
+#[derive(Clone, Copy, Debug)]
+struct Replay {
+    heuristic: Heuristic,
+    /// First position past the stream being followed; a miss there or
+    /// later is a head.
+    covered_until: usize,
+    out: HeuristicOutcome,
 }
 
 /// Replays `config.heuristic` over `trace` and reports coverage.
@@ -141,19 +148,32 @@ struct AddrState {
 /// assert!(out.coverage() > 0.8);
 /// ```
 pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicOutcome {
-    evaluate_with_index(trace, &LceIndex::new(trace), config)
+    let lce = LceIndex::new(trace);
+    evaluate_with_index(trace, &lce, &[config.heuristic], config.max_candidates)[0]
 }
 
-/// As [`evaluate_heuristic`], over a suffix index already built for
-/// `trace`. Building the index is most of a replay's cost, so a caller
-/// that evaluates several heuristics over one trace builds it once and
-/// passes it to each ([`evaluate_all`] does this for every heuristic).
+/// Replays every heuristic in `heuristics` over `trace` in one pass, with
+/// up to `max_candidates` remembered streams per head address, over a
+/// suffix index already built for `trace`. Returns one outcome per entry
+/// of `heuristics`, in the same order; each equals a replay of that
+/// heuristic alone.
+///
+/// The pass keeps one set of per-address bookkeeping for all of them:
+/// each address's first and latest occurrence, and a link from every
+/// position to the previous occurrence of its address. An address's
+/// candidates are the `max_candidates` newest occurrences before the
+/// current one, reached newest first along those links. `Longest` and
+/// `Opportunity` keep a candidate only when it beats every newer one, so
+/// a tie goes to the newest, and `Digram` takes the newest match.
+/// `Longest`'s retrospective length updates run only when it is asked
+/// for. [`evaluate_all`] builds the index and asks for every heuristic.
 ///
 /// # Panics
 ///
-/// Panics if `lce` does not cover exactly `trace.len()` symbols. The
-/// index must be built over `trace` itself; one built over another trace
-/// of the same length gives meaningless results.
+/// Panics if `max_candidates` is 0, or if `lce` does not cover exactly
+/// `trace.len()` symbols. The index must be built over `trace` itself;
+/// one built over another trace of the same length gives meaningless
+/// results.
 #[expect(
     clippy::disallowed_types,
     reason = "the per-address table is only probed by key, never enumerated"
@@ -161,117 +181,133 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
 pub fn evaluate_with_index(
     trace: &[u64],
     lce: &LceIndex,
-    config: &HeuristicConfig,
-) -> HeuristicOutcome {
-    assert!(config.max_candidates >= 1, "need at least one candidate");
+    heuristics: &[Heuristic],
+    max_candidates: usize,
+) -> Vec<HeuristicOutcome> {
+    assert!(max_candidates >= 1, "need at least one candidate");
     let n = trace.len();
     assert_eq!(lce.len(), n, "suffix index built over another trace");
-    let mut state = std::collections::HashMap::<u64, AddrState>::new();
-    let mut out = HeuristicOutcome {
-        total_misses: n,
-        ..HeuristicOutcome::default()
-    };
+    let mut replays: Vec<Replay> = heuristics
+        .iter()
+        .map(|&heuristic| Replay {
+            heuristic,
+            covered_until: 0,
+            out: HeuristicOutcome {
+                total_misses: n,
+                ..HeuristicOutcome::default()
+            },
+        })
+        .collect();
+    let longest = heuristics.contains(&Heuristic::Longest);
+    let mut state = std::collections::HashMap::<u64, Occurrences>::new();
+    // `prev[p]`: the previous occurrence of `trace[p]`, or `NONE`.
+    let mut prev: Vec<u32> = Vec::with_capacity(n);
+    // `best_len[p]`: the longest stream observed to follow occurrence
+    // `p` so far, measured retrospectively whenever its address recurs.
+    // Used by `Longest` alone.
+    let mut best_len: Vec<u32> = Vec::with_capacity(if longest { n } else { 0 });
 
-    let mut covered_until = 0usize;
     for i in 0..n {
         let addr = trace[i];
-        if i >= covered_until {
+        let seen = state.entry(addr).or_insert(Occurrences {
+            first: i as u32,
+            latest: NONE,
+        });
+        let (first, latest) = (seen.first, seen.latest);
+        seen.latest = i as u32;
+
+        for r in replays.iter_mut().filter(|r| i >= r.covered_until) {
             // This miss is a head: perform a lookup.
-            out.lookups += 1;
-            let chosen: Option<u32> = match state.get(&addr) {
-                None => None,
-                Some(st) => match config.heuristic {
-                    Heuristic::First => Some(st.first),
-                    Heuristic::Recent => Some(st.recent),
-                    Heuristic::Digram => {
-                        if i + 1 < n {
-                            let next = trace[i + 1];
-                            st.candidates
-                                .iter()
-                                .rev()
-                                .find(|c| {
-                                    let p = c.pos as usize;
-                                    p + 1 < n && trace[p + 1] == next
-                                })
-                                .map(|c| c.pos)
-                        } else {
-                            None
-                        }
+            r.out.lookups += 1;
+            let chosen: Option<u32> = if latest == NONE {
+                None
+            } else {
+                match r.heuristic {
+                    Heuristic::First => Some(first),
+                    Heuristic::Recent => Some(latest),
+                    Heuristic::Digram => trace.get(i + 1).and_then(|&next| {
+                        candidates(&prev, latest, max_candidates)
+                            .find(|&p| trace.get(p as usize + 1) == Some(&next))
+                    }),
+                    Heuristic::Longest => {
+                        newest_best(candidates(&prev, latest, max_candidates), |p| {
+                            best_len[p as usize]
+                        })
                     }
-                    Heuristic::Longest => st
-                        .candidates
-                        .iter()
-                        .max_by_key(|c| c.best_len)
-                        .map(|c| c.pos),
-                    Heuristic::Opportunity => st
-                        .candidates
-                        .iter()
-                        .max_by_key(|c| lce.lce(c.pos as usize + 1, i + 1))
-                        .map(|c| c.pos),
-                },
+                    Heuristic::Opportunity => {
+                        newest_best(candidates(&prev, latest, max_candidates), |p| {
+                            lce.lce(p as usize + 1, i + 1)
+                        })
+                    }
+                }
             };
             match chosen {
                 None => {
-                    out.failed_lookups += 1;
-                    covered_until = i + 1;
+                    r.out.failed_lookups += 1;
+                    r.covered_until = i + 1;
                 }
                 Some(p) => {
                     let m = lce.lce(p as usize + 1, i + 1);
-                    let credit = if config.heuristic == Heuristic::Digram {
+                    r.out.eliminated += if r.heuristic == Heuristic::Digram {
                         // The second miss is spent confirming the digram.
                         m.saturating_sub(1)
                     } else {
                         m
                     };
-                    out.eliminated += credit;
-                    covered_until = i + 1 + m;
+                    r.covered_until = i + 1 + m;
                 }
             }
         }
 
-        // Record this occurrence (SVB hits are logged too, per the paper, so
-        // every position updates the bookkeeping).
-        let st = state.entry(addr).or_insert_with(|| AddrState {
-            first: i as u32,
-            recent: i as u32,
-            candidates: Vec::new(),
-        });
-        // Retrospective length measurement for `Longest`: the stream that
-        // followed candidate p has now been demonstrated against position i.
-        if config.heuristic == Heuristic::Longest {
-            for c in &mut st.candidates {
-                let measured = lce.lce(c.pos as usize + 1, i + 1) as u32;
-                if measured > c.best_len {
-                    c.best_len = measured;
-                }
+        // Record this occurrence (SVB hits are logged too, per the paper,
+        // so every position updates the bookkeeping).
+        if longest {
+            // Retrospective length measurement for `Longest`: the stream
+            // that followed each candidate has now been demonstrated
+            // against position i.
+            for p in candidates(&prev, latest, max_candidates) {
+                let measured = lce.lce(p as usize + 1, i + 1) as u32;
+                let best = &mut best_len[p as usize];
+                *best = (*best).max(measured);
             }
+            best_len.push(0);
         }
-        if st.candidates.len() == config.max_candidates {
-            st.candidates.remove(0);
-        }
-        st.candidates.push(Candidate {
-            pos: i as u32,
-            best_len: 0,
-        });
-        st.recent = i as u32;
+        prev.push(latest);
     }
-    out
+    replays.into_iter().map(|r| r.out).collect()
+}
+
+/// The candidates at a position whose address last occurred at
+/// `latest`: that occurrence and the ones before it along the `prev`
+/// links, newest first, at most `max` of them.
+fn candidates(prev: &[u32], latest: u32, max: usize) -> impl Iterator<Item = u32> + '_ {
+    let occurrence = |p: u32| (p != NONE).then_some(p);
+    std::iter::successors(occurrence(latest), move |&p| occurrence(prev[p as usize])).take(max)
+}
+
+/// The candidate with the greatest `key`, taking a candidate only when
+/// it beats every one before it: over candidates newest first, a tie goes
+/// to the newest.
+fn newest_best<K: Ord>(
+    candidates: impl Iterator<Item = u32>,
+    key: impl Fn(u32) -> K,
+) -> Option<u32> {
+    let mut best: Option<(u32, K)> = None;
+    for p in candidates {
+        let k = key(p);
+        if best.as_ref().is_none_or(|(_, b)| k > *b) {
+            best = Some((p, k));
+        }
+    }
+    best.map(|(p, _)| p)
 }
 
 /// Evaluates every heuristic in [`Heuristic::ALL`] over one trace,
-/// building its suffix index once.
+/// building its suffix index once and replaying them all in one pass.
 pub fn evaluate_all(trace: &[u64], max_candidates: usize) -> Vec<(Heuristic, HeuristicOutcome)> {
     let lce = LceIndex::new(trace);
-    Heuristic::ALL
-        .iter()
-        .map(|&h| {
-            let cfg = HeuristicConfig {
-                heuristic: h,
-                max_candidates,
-            };
-            (h, evaluate_with_index(trace, &lce, &cfg))
-        })
-        .collect()
+    let outcomes = evaluate_with_index(trace, &lce, &Heuristic::ALL, max_candidates);
+    Heuristic::ALL.into_iter().zip(outcomes).collect()
 }
 
 #[cfg(test)]
@@ -424,7 +460,7 @@ mod tests {
     fn index_over_another_trace_is_refused() {
         let trace: Vec<u64> = (0..10).collect();
         let other = LceIndex::new(&trace[..5]);
-        evaluate_with_index(&trace, &other, &HeuristicConfig::new(Heuristic::Recent));
+        evaluate_with_index(&trace, &other, &[Heuristic::Recent], DEFAULT_MAX_CANDIDATES);
     }
 
     #[test]

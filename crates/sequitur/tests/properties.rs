@@ -6,6 +6,7 @@ use tifs_sequitur::categorize::{categorize, CategoryCounts, MissClass};
 use tifs_sequitur::grammar::Sequitur;
 use tifs_sequitur::heuristics::{
     evaluate_all, evaluate_heuristic, evaluate_with_index, Heuristic, HeuristicConfig,
+    HeuristicOutcome,
 };
 use tifs_sequitur::streams::stream_occurrences;
 use tifs_sequitur::suffix::{suffix_array, LceIndex};
@@ -18,6 +19,131 @@ fn small_alphabet_trace() -> impl Strategy<Value = Vec<u64>> {
 /// Wider-alphabet traces exercise the sparse-repetition paths.
 fn wide_alphabet_trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..1000, 0..200)
+}
+
+prop_compose! {
+    /// Traces of streams that share a head: each piece is the head `0`, then
+    /// a prefix of one of three overlapping streams, then a unique symbol.
+    /// Candidates for the head tie for `Longest` whenever the same stream
+    /// prefix followed them, and for `Opportunity` whenever several of them
+    /// match the future equally far.
+    fn shared_head_trace()(
+        pieces in prop::collection::vec((0usize..3, 1usize..12), 0..40),
+    ) -> Vec<u64> {
+        let streams: [Vec<u64>; 3] = [
+            (100..112).collect(),
+            (100..104).chain(200..208).collect(),
+            (100..106).chain(300..306).collect(),
+        ];
+        let mut trace = Vec::new();
+        for (unique, (stream, len)) in (1000u64..).zip(pieces) {
+            trace.push(0);
+            trace.extend_from_slice(&streams[stream][..len]);
+            trace.push(unique);
+        }
+        trace
+    }
+}
+
+/// One heuristic's replay on its own: the per-heuristic replay the
+/// one-pass `evaluate_with_index` replaced, kept as its reference. Each
+/// address keeps its first and latest occurrence and a window of its
+/// last `max_candidates` occurrences, oldest first, which it shifts as
+/// it slides.
+fn single_replay(trace: &[u64], h: Heuristic, max_candidates: usize) -> HeuristicOutcome {
+    #[derive(Clone, Copy)]
+    struct Candidate {
+        pos: u32,
+        best_len: u32,
+    }
+    struct AddrState {
+        first: u32,
+        recent: u32,
+        candidates: Vec<Candidate>,
+    }
+    let n = trace.len();
+    let lce = LceIndex::new(trace);
+    let mut state = std::collections::BTreeMap::<u64, AddrState>::new();
+    let mut out = HeuristicOutcome {
+        total_misses: n,
+        ..HeuristicOutcome::default()
+    };
+    let mut covered_until = 0usize;
+    for i in 0..n {
+        let addr = trace[i];
+        if i >= covered_until {
+            out.lookups += 1;
+            let chosen: Option<u32> = match state.get(&addr) {
+                None => None,
+                Some(st) => match h {
+                    Heuristic::First => Some(st.first),
+                    Heuristic::Recent => Some(st.recent),
+                    Heuristic::Digram => {
+                        if i + 1 < n {
+                            let next = trace[i + 1];
+                            st.candidates
+                                .iter()
+                                .rev()
+                                .find(|c| {
+                                    let p = c.pos as usize;
+                                    p + 1 < n && trace[p + 1] == next
+                                })
+                                .map(|c| c.pos)
+                        } else {
+                            None
+                        }
+                    }
+                    Heuristic::Longest => st
+                        .candidates
+                        .iter()
+                        .max_by_key(|c| c.best_len)
+                        .map(|c| c.pos),
+                    Heuristic::Opportunity => st
+                        .candidates
+                        .iter()
+                        .max_by_key(|c| lce.lce(c.pos as usize + 1, i + 1))
+                        .map(|c| c.pos),
+                },
+            };
+            match chosen {
+                None => {
+                    out.failed_lookups += 1;
+                    covered_until = i + 1;
+                }
+                Some(p) => {
+                    let m = lce.lce(p as usize + 1, i + 1);
+                    out.eliminated += if h == Heuristic::Digram {
+                        m.saturating_sub(1)
+                    } else {
+                        m
+                    };
+                    covered_until = i + 1 + m;
+                }
+            }
+        }
+        let st = state.entry(addr).or_insert_with(|| AddrState {
+            first: i as u32,
+            recent: i as u32,
+            candidates: Vec::new(),
+        });
+        if h == Heuristic::Longest {
+            for c in &mut st.candidates {
+                let measured = lce.lce(c.pos as usize + 1, i + 1) as u32;
+                if measured > c.best_len {
+                    c.best_len = measured;
+                }
+            }
+        }
+        if st.candidates.len() == max_candidates {
+            st.candidates.remove(0);
+        }
+        st.candidates.push(Candidate {
+            pos: i as u32,
+            best_len: 0,
+        });
+        st.recent = i as u32;
+    }
+    out
 }
 
 proptest! {
@@ -154,8 +280,31 @@ proptest! {
         for (&h, &shared) in Heuristic::ALL.iter().zip(&all) {
             let cfg = HeuristicConfig { heuristic: h, max_candidates };
             let own = evaluate_heuristic(&trace, &cfg);
-            prop_assert_eq!(evaluate_with_index(&trace, &lce, &cfg), own, "{:?}", h);
+            prop_assert_eq!(evaluate_with_index(&trace, &lce, &[h], max_candidates), vec![own], "{:?}", h);
             prop_assert_eq!(shared, (h, own));
+        }
+    }
+
+    #[test]
+    fn one_replay_matches_single_heuristic_replays(
+        small in small_alphabet_trace(),
+        shared_head in shared_head_trace(),
+        k in 0usize..4,
+    ) {
+        // The one pass, asked for one heuristic or for all five, gives
+        // each the outcome of that heuristic's replay on its own, at
+        // every candidate bound Figure 6 and the tests use.
+        let max_candidates = [1, 2, 16, 64][k];
+        for trace in [small, shared_head] {
+            let lce = LceIndex::new(&trace);
+            let all = evaluate_with_index(&trace, &lce, &Heuristic::ALL, max_candidates);
+            prop_assert_eq!(all.len(), Heuristic::ALL.len());
+            for (&h, &together) in Heuristic::ALL.iter().zip(&all) {
+                let reference = single_replay(&trace, h, max_candidates);
+                prop_assert_eq!(together, reference, "{:?} among all, k = {}", h, max_candidates);
+                let alone = evaluate_with_index(&trace, &lce, &[h], max_candidates);
+                prop_assert_eq!(alone, vec![reference], "{:?} alone, k = {}", h, max_candidates);
+            }
         }
     }
 

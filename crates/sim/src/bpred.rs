@@ -96,6 +96,7 @@ impl HybridPredictor {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
+    #[inline]
     pub fn predict(&self, pc: Addr) -> bool {
         if self.chooser.predict(Self::pc_index(pc)) {
             self.gshare.predict(self.gshare_index(pc))
@@ -105,6 +106,7 @@ impl HybridPredictor {
     }
 
     /// Trains with the resolved outcome and shifts global history.
+    #[inline]
     pub fn update(&mut self, pc: Addr, taken: bool) {
         let pi = Self::pc_index(pc);
         let gi = self.gshare_index(pc);
@@ -120,11 +122,13 @@ impl HybridPredictor {
     }
 
     /// Current global history (FDIP snapshots this to explore ahead).
+    #[inline]
     pub fn history(&self) -> u64 {
         self.history
     }
 
     /// Predicts with an explicit speculative history (FDIP lookahead).
+    #[inline]
     pub fn predict_with_history(&self, pc: Addr, history: u64) -> bool {
         if self.chooser.predict(Self::pc_index(pc)) {
             let gi = Self::pc_index(pc) ^ (history & ((1 << self.history_bits) - 1));
@@ -168,6 +172,7 @@ impl ReturnAddressStack {
 
     /// Pushes a return address (on call); the oldest entry is dropped at
     /// capacity.
+    #[inline]
     pub fn push(&mut self, addr: Addr) {
         if self.stack.len() == self.capacity {
             self.stack.remove(0);
@@ -176,6 +181,7 @@ impl ReturnAddressStack {
     }
 
     /// Pops the predicted return target.
+    #[inline]
     pub fn pop(&mut self) -> Option<Addr> {
         self.stack.pop()
     }
@@ -205,6 +211,7 @@ impl TargetBuffer {
     }
 
     /// Predicted target for the branch at `pc`, if known.
+    #[inline]
     pub fn predict(&self, pc: Addr) -> Option<Addr> {
         let idx = ((pc.0 >> 2) & self.mask) as usize;
         match self.entries[idx] {
@@ -214,6 +221,7 @@ impl TargetBuffer {
     }
 
     /// Records the resolved target.
+    #[inline]
     pub fn update(&mut self, pc: Addr, target: Addr) {
         let idx = ((pc.0 >> 2) & self.mask) as usize;
         self.entries[idx] = Some((pc.0, target));

@@ -71,6 +71,7 @@ impl SetAssocCache {
     }
 
     /// Looks up `block`, promoting it to MRU on hit. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr) -> bool {
         let range = self.set_range(block);
         let set = &mut self.slots[range];
@@ -85,12 +86,14 @@ impl SetAssocCache {
     }
 
     /// Checks residency without touching LRU state.
+    #[inline]
     pub fn peek(&self, block: BlockAddr) -> bool {
         self.slots[self.set_range(block)].contains(&block)
     }
 
     /// Inserts `block` at MRU (no-op promote if already resident). Returns
     /// the evicted block, if any.
+    #[inline]
     pub fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         debug_assert_ne!(block, INVALID, "reserved sentinel address");
         let range = self.set_range(block);

@@ -196,6 +196,7 @@ impl L2 {
     /// `forced_outcome_data_requests_contend_by_design` regression test).
     ///
     /// Returns `None` when all MSHRs are busy; the requester retries later.
+    #[inline]
     pub fn request(
         &mut self,
         now: u64,
@@ -259,6 +260,7 @@ impl L2 {
     /// Queues an Index-Table pointer update on a bank's tag pipeline.
     /// Updates are lowest priority and are dropped under back-pressure
     /// (paper Section 5.2.2). Returns `false` if dropped.
+    #[inline]
     pub fn tag_update(&mut self, now: u64, block: BlockAddr) -> bool {
         let bank = self.bank_of(block);
         if self.tag_free[bank].saturating_sub(now) > self.cfg.tag_backlog_limit {
@@ -271,6 +273,7 @@ impl L2 {
     }
 
     /// Whether an instruction block is resident in L2 (no LRU update).
+    #[inline]
     pub fn contains_instruction(&self, block: BlockAddr) -> bool {
         self.directory.peek(block)
     }

@@ -24,17 +24,34 @@ pub struct FunctionalFetchModel {
     l1i: SetAssocCache,
     next_line_depth: u64,
     last_block: Option<BlockAddr>,
+    /// The block the last [`fill`](Self::fill) started at. That fill
+    /// left it and the `next_line_depth` blocks after it at MRU, each in
+    /// a set of its own, and nothing has touched the L1-I since.
+    last_fill: Option<BlockAddr>,
     accesses: u64,
     misses: u64,
 }
 
 impl FunctionalFetchModel {
     /// Builds the model from a system configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the L1-I has more sets than `next_line_depth`, so
+    /// that one fill's blocks all lie in different sets.
     pub fn new(cfg: &SystemConfig) -> FunctionalFetchModel {
+        let l1i = SetAssocCache::new(cfg.l1i_bytes, cfg.l1i_ways);
+        assert!(
+            l1i.num_sets() as u64 > cfg.next_line_depth,
+            "a fill of {} blocks needs as many sets, the L1-I has {}",
+            cfg.next_line_depth + 1,
+            l1i.num_sets()
+        );
         FunctionalFetchModel {
-            l1i: SetAssocCache::new(cfg.l1i_bytes, cfg.l1i_ways),
+            l1i,
             next_line_depth: cfg.next_line_depth,
             last_block: None,
+            last_fill: None,
             accesses: 0,
             misses: 0,
         }
@@ -54,6 +71,7 @@ impl FunctionalFetchModel {
     /// each PC in turn.
     ///
     /// [`access_pc`]: Self::access_pc
+    #[inline]
     pub fn access_run(&mut self, pc: Addr, len: u64, mut on_miss: impl FnMut(BlockAddr)) {
         if len == 0 {
             return;
@@ -75,10 +93,12 @@ impl FunctionalFetchModel {
     }
 
     /// Performs one block-transition access; returns `true` on a miss.
+    #[inline]
     pub fn access_block(&mut self, block: BlockAddr) -> bool {
         self.accesses += 1;
-        // A hit promotes `block` to MRU, where `fill` finds it again.
-        let hit = self.l1i.access(block);
+        // A hit promotes `block` to MRU, where `fill` finds it again. A
+        // block that follows the last fill's start is at MRU already.
+        let hit = self.follows_last_fill(block) || self.l1i.access(block);
         self.fill(block);
         if !hit {
             self.misses += 1;
@@ -88,13 +108,32 @@ impl FunctionalFetchModel {
 
     /// Fills the demanded `block` and its next-line prefetches, `block`
     /// through `block + next_line_depth`, without counting an access.
+    ///
+    /// A fill of the block after the last fill's start inserts only
+    /// `block + next_line_depth`: the last fill left the blocks before it
+    /// at MRU, where inserting them again changes nothing.
+    #[inline]
     pub fn fill(&mut self, block: BlockAddr) {
-        for d in 0..=self.next_line_depth {
-            self.l1i.insert(block.offset(d));
+        if self.follows_last_fill(block) {
+            self.l1i.insert(block.offset(self.next_line_depth));
+        } else {
+            for d in 0..=self.next_line_depth {
+                self.l1i.insert(block.offset(d));
+            }
         }
+        self.last_fill = Some(block);
+    }
+
+    /// Whether the last fill left `block` through
+    /// `block + next_line_depth - 1` at MRU: `block` is the one after the
+    /// block that fill started at, and the fill reached past its start.
+    #[inline]
+    fn follows_last_fill(&self, block: BlockAddr) -> bool {
+        self.next_line_depth > 0 && self.last_fill.is_some_and(|f| f.next() == block)
     }
 
     /// Whether the L1-I holds `block` (a tag probe: no LRU update).
+    #[inline]
     pub fn holds(&self, block: BlockAddr) -> bool {
         self.l1i.peek(block)
     }
@@ -143,6 +182,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> SystemConfig {
         SystemConfig::table2()
@@ -241,6 +281,135 @@ mod tests {
             assert_eq!(misses, expected, "run of {len} at {pc:#x}");
             assert_eq!(by_run.totals(), by_pc.totals(), "run of {len} at {pc:#x}");
         }
+    }
+
+    /// The model without the sequential fill: every access probes the
+    /// L1-I and inserts all `next_line_depth + 1` blocks, and a run steps
+    /// one instruction at a time.
+    struct Reference {
+        l1i: SetAssocCache,
+        next_line_depth: u64,
+        last_block: Option<BlockAddr>,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn new(cfg: &SystemConfig) -> Reference {
+            Reference {
+                l1i: SetAssocCache::new(cfg.l1i_bytes, cfg.l1i_ways),
+                next_line_depth: cfg.next_line_depth,
+                last_block: None,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn access_block(&mut self, block: BlockAddr) -> bool {
+            self.accesses += 1;
+            let hit = self.l1i.access(block);
+            self.fill(block);
+            self.misses += u64::from(!hit);
+            !hit
+        }
+
+        fn fill(&mut self, block: BlockAddr) {
+            for d in 0..=self.next_line_depth {
+                self.l1i.insert(block.offset(d));
+            }
+        }
+
+        fn access_run(&mut self, pc: Addr, len: u64) -> Vec<BlockAddr> {
+            let mut misses = Vec::new();
+            for i in 0..len {
+                let block = pc.add_instrs(i).block();
+                if self.last_block != Some(block) && self.access_block(block) {
+                    misses.push(block);
+                }
+                self.last_block = Some(block);
+            }
+            misses
+        }
+    }
+
+    /// `(l1i_bytes, l1i_ways, next_line_depth)`: Table II; small caches
+    /// that evict often; one whose fill covers every set; no next line.
+    const GEOMETRIES: [(usize, usize, u64); 5] = [
+        (64 * 1024, 2, 4),
+        (2 * 1024, 2, 4),
+        (4 * 1024, 4, 1),
+        (1024, 1, 15),
+        (2 * 1024, 2, 0),
+    ];
+
+    proptest! {
+        /// The sequential fill is exact: the model and a reference that
+        /// never takes it agree on every miss, count, probe and resident
+        /// block, under sequential stretches, jumps and revisits through
+        /// interleaved runs, block accesses and bare fills.
+        #[test]
+        fn sequential_fills_match_full_fills(
+            geometry in 0usize..GEOMETRIES.len(),
+            calls in prop::collection::vec((0u8..3, 0u8..8, 0u64..1 << 20, 0u64..48), 1..400),
+        ) {
+            let (l1i_bytes, l1i_ways, next_line_depth) = GEOMETRIES[geometry];
+            let cfg = SystemConfig { l1i_bytes, l1i_ways, next_line_depth, ..cfg() };
+            let mut model = FunctionalFetchModel::new(&cfg);
+            let mut reference = Reference::new(&cfg);
+            // Jumps land within four cache capacities, so sets conflict.
+            let span = 4 * (l1i_bytes as u64 / 64);
+            let (mut cursor, mut visited) = (0u64, Vec::new());
+            for (n, &(call, moves, arg, len)) in calls.iter().enumerate() {
+                cursor = match moves {
+                    0..=4 => cursor + 1,
+                    5 => cursor,
+                    6 => arg % span,
+                    _ if visited.is_empty() => arg % span,
+                    _ => visited[arg as usize % visited.len()],
+                };
+                visited.push(cursor);
+                let block = BlockAddr(cursor);
+                match call {
+                    0 => {
+                        let pc = Addr(cursor * 64 + (arg % 16) * 4);
+                        let mut misses = Vec::new();
+                        model.access_run(pc, len, |b| misses.push(b));
+                        prop_assert_eq!(misses, reference.access_run(pc, len), "call {}", n);
+                        if len > 0 {
+                            cursor = pc.add_instrs(len - 1).block().0;
+                        }
+                    }
+                    1 => prop_assert_eq!(
+                        model.access_block(block),
+                        reference.access_block(block),
+                        "call {}", n
+                    ),
+                    _ => {
+                        model.fill(block);
+                        reference.fill(block);
+                    }
+                }
+                prop_assert_eq!(model.totals(), (reference.accesses, reference.misses));
+                for b in cursor.saturating_sub(1)..=cursor + next_line_depth + 1 {
+                    let b = BlockAddr(b);
+                    prop_assert_eq!(model.holds(b), reference.l1i.peek(b), "call {}, {:?}", n, b);
+                }
+            }
+            prop_assert_eq!(model.l1i.resident_blocks(), reference.l1i.resident_blocks());
+            prop_assert_eq!(model.l1i.churn(), reference.l1i.churn());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs as many sets")]
+    fn fill_wider_than_the_sets_is_refused() {
+        let cfg = SystemConfig {
+            l1i_bytes: 1024,
+            l1i_ways: 1,
+            next_line_depth: 16,
+            ..cfg()
+        };
+        FunctionalFetchModel::new(&cfg);
     }
 
     #[test]

@@ -182,6 +182,7 @@ struct Run {
 }
 
 impl Run {
+    #[inline]
     fn advance(&mut self, n: u32) {
         self.pc = self.pc.add_instrs(u64::from(n));
         self.pos += n as usize;
@@ -265,6 +266,7 @@ impl<'p> Walker<'p> {
     }
 
     /// Instructions emitted so far.
+    #[inline]
     pub fn instructions(&self) -> u64 {
         self.instructions
     }
@@ -293,6 +295,7 @@ impl<'p> Walker<'p> {
     /// # Panics
     ///
     /// Panics if `max` is 0.
+    #[inline]
     pub fn step(&mut self, max: u64) -> Step {
         assert!(max > 0, "a step covers at least one instruction");
         if self.run.left == 0 && !self.begin_run() {
@@ -319,6 +322,7 @@ impl<'p> Walker<'p> {
     /// Forms a run at the top frame's next instruction, moving the frame
     /// and both countdowns past it. Returns `false`, forming nothing, when
     /// that instruction must take the one-instruction path.
+    #[inline]
     fn begin_run(&mut self) -> bool {
         if self.idle_left > 0 {
             return false;
@@ -364,6 +368,7 @@ impl<'p> Walker<'p> {
         }
     }
 
+    #[inline]
     fn draw_load_class(&mut self) -> MemClass {
         if self.rng.gen_bool(self.config.data.l1d_miss_rate) {
             if self.rng.gen_bool(self.config.data.l2_hit_frac) {
@@ -464,6 +469,7 @@ impl<'p> Walker<'p> {
     }
 
     /// Emits the next instruction without forming a run.
+    #[inline]
     fn one_instruction(&mut self) -> FetchRecord {
         if self.idle_left > 0 {
             let record = self.idle_step();
@@ -579,8 +585,10 @@ impl Iterator for Walker<'_> {
 
     /// Inlinable, so a caller monomorphized over `Walker` (the simulator's
     /// core fetch) takes a run's ops in line. Everything else is one call
-    /// to `next_past_run`, which keeps the functions `step` shares with it
-    /// out of other crates.
+    /// to `next_past_run`, which is not `#[inline]`: inlined into the
+    /// core's fetch as well, its one-instruction path pushed the run
+    /// path's load-class draw out of line, and `fig13` ran about 2%
+    /// slower.
     #[inline]
     fn next(&mut self) -> Option<FetchRecord> {
         if self.run.left == 0 {

@@ -602,6 +602,7 @@ impl Program {
 
     /// Decodes a PC to its function and instruction index, or `None` if the
     /// PC does not map to an instruction (padding, unmapped).
+    #[inline]
     pub fn decode(&self, pc: Addr) -> Option<InstrRef> {
         let pc = pc.0.checked_sub(self.shift)?;
         let image = &*self.image;
