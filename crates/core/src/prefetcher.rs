@@ -413,6 +413,10 @@ impl IPrefetcher for TifsPrefetcher {
         "tifs"
     }
 
+    fn observes_instructions(&self) -> bool {
+        false
+    }
+
     fn on_block_fetch(
         &mut self,
         ctx: &mut PrefetchCtx<'_>,

@@ -63,6 +63,10 @@ pub struct Svb {
     /// Streamed blocks, each tagged with its `(stream, generation)`.
     buffer: PrefetchBuffer<(u8, u64)>,
     streams: Vec<StreamCtx>,
+    /// Per stream context, the buffered and in-flight blocks tagged with
+    /// its current generation: what [`Svb::outstanding`] answers, kept
+    /// as blocks enter and leave the buffer instead of counted per call.
+    charged: Vec<usize>,
 }
 
 impl Svb {
@@ -73,6 +77,15 @@ impl Svb {
         Svb {
             buffer: PrefetchBuffer::new(capacity),
             streams: (0..stream_contexts).map(|_| StreamCtx::idle()).collect(),
+            charged: vec![0; stream_contexts],
+        }
+    }
+
+    /// A block tagged `(sid, generation)` left the buffer: if the context
+    /// still holds that stream, the block no longer counts against it.
+    fn uncharge(streams: &[StreamCtx], charged: &mut [usize], (sid, generation): (u8, u64)) {
+        if streams.get(sid as usize).map(|s| s.generation) == Some(generation) {
+            charged[sid as usize] -= 1;
         }
     }
 
@@ -87,8 +100,8 @@ impl Svb {
     }
 
     /// The stream that streamed `block` saw it used or dropped at `now`:
-    /// if the context still holds that stream, stamp its use and end a
-    /// pause on the block.
+    /// if the context still holds that stream, stamp its use, end a pause
+    /// on the block and stop charging the block to it.
     fn touch_stream(&mut self, (sid, generation): (u8, u64), block: BlockAddr, now: u64) {
         if let Some(s) = self.streams.get_mut(sid as usize) {
             if s.generation == generation {
@@ -96,6 +109,7 @@ impl Svb {
                 if s.paused_on == Some(block) {
                     s.paused_on = None;
                 }
+                self.charged[sid as usize] -= 1;
             }
         }
     }
@@ -109,6 +123,7 @@ impl Svb {
     pub fn note_inflight(&mut self, block: BlockAddr, ready: u64, stream: u8) {
         let generation = self.streams[stream as usize].generation;
         self.buffer.issue(block, ready, (stream, generation));
+        self.charged[stream as usize] += 1;
     }
 
     /// Cycle at which the earliest in-flight prefetch arrives, if any.
@@ -119,7 +134,12 @@ impl Svb {
     /// Moves arrived prefetches into the buffer; evictions of never-used
     /// blocks count as discards (paper Section 6.4).
     pub fn drain_arrivals(&mut self, now: u64) {
-        self.buffer.drain(now);
+        let Svb {
+            buffer,
+            streams,
+            charged,
+        } = self;
+        buffer.drain(now, |tag| Self::uncharge(streams, charged, tag));
     }
 
     /// The fetch unit hit `block` in the L1: a streamed copy (if any) is
@@ -135,9 +155,14 @@ impl Svb {
     }
 
     /// Blocks currently charged to stream `sid` (in flight + unconsumed).
+    #[inline]
     pub fn outstanding(&self, sid: u8) -> usize {
-        let generation = self.streams[sid as usize].generation;
-        self.buffer.count(|tag| tag == (sid, generation))
+        let charged = self.charged[sid as usize];
+        debug_assert_eq!(charged, {
+            let generation = self.streams[sid as usize].generation;
+            self.buffer.count(|tag| tag == (sid, generation))
+        });
+        charged
     }
 
     /// Allocates a stream context (LRU victim), returning its id. Leftover
@@ -152,6 +177,8 @@ impl Svb {
             .map(|(i, _)| i)
             .expect("at least one context");
         let generation = self.streams[sid].generation + 1;
+        // No block carries the new generation yet.
+        self.charged[sid] = 0;
         self.streams[sid] = StreamCtx {
             active: true,
             src_core,
@@ -205,6 +232,7 @@ impl Svb {
     /// overprediction accounting.
     pub fn flush(&mut self) {
         self.buffer.clear();
+        self.charged.fill(0);
         for s in &mut self.streams {
             let generation = s.generation + 1;
             *s = StreamCtx {
@@ -218,6 +246,7 @@ impl Svb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn take_from_buffer_and_inflight() {
@@ -311,5 +340,57 @@ mod tests {
         assert!(svb.holds(BlockAddr(2)));
         svb.drain_arrivals(10);
         assert!(svb.holds(BlockAddr(2)));
+    }
+
+    /// The blocks in the buffer tagged with `sid`'s current generation.
+    fn counted(svb: &Svb, sid: u8) -> usize {
+        let generation = svb.streams[sid as usize].generation;
+        svb.buffer.count(|tag| tag == (sid, generation))
+    }
+
+    proptest! {
+        /// The maintained charges equal a count over the buffer after
+        /// every step: issues, arrivals that evict, supplies, L1-hit
+        /// drops and flushes, while reallocated contexts roll their
+        /// generations over and leave stale blocks behind.
+        #[test]
+        fn charges_match_a_count_over_the_buffer(
+            capacity in prop_oneof![Just(1usize), Just(4usize), Just(32usize)],
+            contexts in 1usize..=4,
+            ops in prop::collection::vec((0u8..16, 0u64..1 << 16, 0u64..64), 1..300),
+        ) {
+            let mut svb = Svb::new(capacity, contexts);
+            let mut now = 0u64;
+            for &(op, block, arg) in &ops {
+                // Three presence slots, several blocks in each.
+                let block = BlockAddr(64 * (block % 4) + block % 3);
+                let sid = (arg % contexts as u64) as u8;
+                match op {
+                    0..=1 => {
+                        svb.allocate_stream(now, 0, arg);
+                    }
+                    2..=6 => {
+                        if !svb.holds(block) {
+                            svb.note_inflight(block, now + arg % 24, sid);
+                        }
+                    }
+                    7..=9 => {
+                        now += arg % 12;
+                        svb.drain_arrivals(now);
+                    }
+                    10..=11 => {
+                        let _ = svb.take(block, now);
+                    }
+                    12..=13 => {
+                        let _ = svb.on_l1_hit(block, now);
+                    }
+                    14 if arg % 4 == 0 => svb.flush(),
+                    _ => now += 1,
+                }
+                for sid in 0..contexts as u8 {
+                    prop_assert_eq!(svb.outstanding(sid), counted(&svb, sid), "stream {}", sid);
+                }
+            }
+        }
     }
 }

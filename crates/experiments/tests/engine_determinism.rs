@@ -3,12 +3,17 @@
 //! parallel, oversubscribed). Every batching/caching layer builds on
 //! this.
 
-use tifs_experiments::engine::{run_cell, ExperimentGrid, Lab, SystemSpec};
+use tifs_core::MetadataOrg;
+use tifs_experiments::engine::{build_prefetcher, run_cell, ExperimentGrid, Lab, SystemSpec};
+use tifs_experiments::figures::fig_mix;
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_experiments::sink::{self, ResultsSink};
+use tifs_sim::cmp::Cmp;
 use tifs_sim::config::SystemConfig;
+use tifs_sim::prefetch::{FetchKind, IPrefetcher, PrefetchCtx};
 use tifs_trace::store::{ReportStore, TraceStore};
-use tifs_trace::workload::{CellPrograms, WorkloadSpec};
+use tifs_trace::workload::{CellPrograms, CellWorkload, WorkloadSpec};
+use tifs_trace::{BlockAddr, FetchRecord};
 
 fn exp() -> ExpConfig {
     ExpConfig {
@@ -222,4 +227,104 @@ fn analysis_traces_deterministic_and_schedule_independent() {
         names_a,
         vec!["tiny-test".to_string(), "Web Zeus".to_string()]
     );
+}
+
+/// Forwards every callback to the prefetcher it wraps but keeps the
+/// default `observes_instructions`, so the cores call `on_fetch_instr`
+/// on every fetched instruction whatever the wrapped prefetcher answers.
+struct Forwarding<'a>(Box<dyn IPrefetcher + 'a>);
+
+impl IPrefetcher for Forwarding<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn on_fetch_instr(&mut self, ctx: &mut PrefetchCtx<'_>, rec: &FetchRecord) {
+        self.0.on_fetch_instr(ctx, rec);
+    }
+
+    fn on_block_fetch(
+        &mut self,
+        ctx: &mut PrefetchCtx<'_>,
+        block: BlockAddr,
+        kind: FetchKind,
+    ) -> Option<u64> {
+        self.0.on_block_fetch(ctx, block, kind)
+    }
+
+    fn on_retire_fetch_miss(
+        &mut self,
+        ctx: &mut PrefetchCtx<'_>,
+        block: BlockAddr,
+        supplied: bool,
+    ) {
+        self.0.on_retire_fetch_miss(ctx, block, supplied);
+    }
+
+    fn on_l2_evict(&mut self, block: BlockAddr) {
+        self.0.on_l2_evict(block);
+    }
+
+    fn on_flush(&mut self, ctx: &mut PrefetchCtx<'_>) {
+        self.0.on_flush(ctx);
+    }
+
+    fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
+        self.0.tick(ctx);
+    }
+
+    fn counters(&self) -> Vec<(String, f64)> {
+        self.0.counters()
+    }
+
+    fn reset_counters(&mut self) {
+        self.0.reset_counters();
+    }
+}
+
+#[test]
+fn skipped_instruction_calls_change_no_report() {
+    // A prefetcher that answers `observes_instructions` with `false` is
+    // never called per instruction; calling it anyway must not change a
+    // byte. Every Figure 13 system runs on a homogeneous cell, and one
+    // shared-pool TIFS configuration on a mix cell with context switches.
+    let exp = ExpConfig {
+        instructions: 8_000,
+        warmup: 8_000,
+        seed: 42,
+    };
+    let sys = SystemConfig::table2();
+    let homogeneous = CellPrograms::build(&WorkloadSpec::web_zeus().into(), exp.seed);
+    let mix = CellPrograms::build(
+        &CellWorkload::Mix(vec![
+            WorkloadSpec::oltp_db2(),
+            WorkloadSpec::web_zeus().with_ctx_switch_period(1_500),
+        ]),
+        exp.seed,
+    );
+    let mut cases: Vec<(SystemSpec, &CellPrograms)> = SystemKind::figure13()
+        .into_iter()
+        .map(|kind| (SystemSpec::Kind(kind), &homogeneous))
+        .collect();
+    cases.push((
+        fig_mix::system_for(MetadataOrg::shared_pool(1), 9.75, sys.num_cores),
+        &mix,
+    ));
+    let mut skipping = 0;
+    for (system, programs) in cases {
+        let built = run_cell(programs, &system, &exp, &sys);
+        let inner = build_prefetcher(&system, programs.workload_for_core(0), &sys, exp.seed);
+        if !inner.observes_instructions() {
+            skipping += 1;
+        }
+        let streams = (0..sys.num_cores).map(|c| programs.walker(c)).collect();
+        let mut cmp = Cmp::new(sys.clone(), streams, Box::new(Forwarding(inner)));
+        let forwarded = cmp.run_with_warmup(exp.warmup, exp.instructions);
+        assert!(
+            built.to_canonical_bytes() == forwarded.to_canonical_bytes(),
+            "{}: a per-instruction call changed the report",
+            system.name()
+        );
+    }
+    assert_eq!(skipping, 6, "every system but FDIP skips the calls");
 }

@@ -74,6 +74,10 @@ impl IPrefetcher for DiscontinuityPrefetcher {
         "discontinuity"
     }
 
+    fn observes_instructions(&self) -> bool {
+        false
+    }
+
     fn on_block_fetch(
         &mut self,
         ctx: &mut PrefetchCtx<'_>,
@@ -112,7 +116,7 @@ impl IPrefetcher for DiscontinuityPrefetcher {
 
     fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
         for core in &mut self.cores {
-            core.buffer.drain(ctx.now);
+            core.buffer.drain(ctx.now, |()| {});
         }
     }
 

@@ -298,7 +298,7 @@ impl IPrefetcher for Fdip<'_> {
 
     fn tick(&mut self, ctx: &mut PrefetchCtx<'_>) {
         for i in 0..self.cores.len() {
-            self.cores[i].buffer.drain(ctx.now);
+            self.cores[i].buffer.drain(ctx.now, |()| {});
             // Explore ahead: up to EXPLORE_PER_CYCLE instructions, one
             // branch per cycle, within the instruction/branch windows.
             let mut steps = 0;

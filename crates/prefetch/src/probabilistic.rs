@@ -51,6 +51,10 @@ impl IPrefetcher for ProbabilisticPrefetcher {
         "probabilistic"
     }
 
+    fn observes_instructions(&self) -> bool {
+        false
+    }
+
     fn on_block_fetch(
         &mut self,
         ctx: &mut PrefetchCtx<'_>,

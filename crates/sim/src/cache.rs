@@ -70,6 +70,21 @@ impl SetAssocCache {
         s..s + self.ways
     }
 
+    /// Moves the block in way `pos` of `set` to MRU, shifting the ways
+    /// before it down one. Ways 0 and 1 move in line: a `copy_within` of
+    /// a runtime length compiles to a call to libc `memmove`, and in the
+    /// 2-way L1-I every promotion is from one of those two ways.
+    #[inline]
+    fn promote(set: &mut [BlockAddr], pos: usize) {
+        let block = set[pos];
+        match pos {
+            0 => return,
+            1 => set[1] = set[0],
+            _ => set.copy_within(0..pos, 1),
+        }
+        set[0] = block;
+    }
+
     /// Looks up `block`, promoting it to MRU on hit. Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> bool {
@@ -77,8 +92,7 @@ impl SetAssocCache {
         let set = &mut self.slots[range];
         match set.iter().position(|&b| b == block) {
             Some(pos) => {
-                set.copy_within(0..pos, 1);
-                set[0] = block;
+                Self::promote(set, pos);
                 true
             }
             None => false,
@@ -105,14 +119,14 @@ impl SetAssocCache {
             return None;
         }
         if let Some(pos) = set.iter().position(|&b| b == block) {
-            set.copy_within(0..pos, 1);
-            set[0] = block;
+            Self::promote(set, pos);
             return None;
         }
         self.insertions += 1;
-        let victim = *set.last().unwrap();
-        set.copy_within(0..set.len() - 1, 1);
-        set[0] = block;
+        // The block replaces the LRU way and is promoted from there.
+        let last = set.len() - 1;
+        let victim = std::mem::replace(&mut set[last], block);
+        Self::promote(set, last);
         if victim == INVALID {
             self.len += 1;
             None

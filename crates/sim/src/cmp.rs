@@ -48,6 +48,8 @@ pub struct Cmp<'a, S = Box<dyn Iterator<Item = FetchRecord> + 'a>> {
 
 impl<'a, S: Iterator<Item = FetchRecord>> Cmp<'a, S> {
     /// Builds a CMP over per-core instruction streams and one prefetcher.
+    /// It asks the prefetcher once whether it observes every fetched
+    /// instruction ([`IPrefetcher::observes_instructions`]).
     ///
     /// # Panics
     ///
@@ -58,10 +60,11 @@ impl<'a, S: Iterator<Item = FetchRecord>> Cmp<'a, S> {
             cfg.num_cores,
             "one instruction stream per core"
         );
+        let observes_instructions = pf.observes_instructions();
         let cores = streams
             .into_iter()
             .enumerate()
-            .map(|(id, s)| Core::new(id, &cfg, s, u64::MAX))
+            .map(|(id, s)| Core::new(id, &cfg, s, u64::MAX, observes_instructions))
             .collect();
         Cmp {
             cores,

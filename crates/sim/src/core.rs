@@ -76,6 +76,9 @@ pub struct Core<S> {
     store_writeback_prob: f64,
 
     stream: S,
+    /// Whether fetch calls the prefetcher's `on_fetch_instr` (see
+    /// [`IPrefetcher::observes_instructions`]).
+    observes_instructions: bool,
     l1i: SetAssocCache,
     nl_inflight: FillQueue,
     cur_block: Option<BlockAddr>,
@@ -123,8 +126,16 @@ pub struct Core<S> {
 }
 
 impl<S: Iterator<Item = FetchRecord>> Core<S> {
-    /// Creates a core replaying `stream`.
-    pub fn new(id: usize, cfg: &SystemConfig, stream: S, quota: u64) -> Core<S> {
+    /// Creates a core replaying `stream`. `observes_instructions` is what
+    /// the prefetcher the core will drive answers to
+    /// [`IPrefetcher::observes_instructions`].
+    pub fn new(
+        id: usize,
+        cfg: &SystemConfig,
+        stream: S,
+        quota: u64,
+        observes_instructions: bool,
+    ) -> Core<S> {
         Core {
             id,
             width: cfg.width,
@@ -135,6 +146,7 @@ impl<S: Iterator<Item = FetchRecord>> Core<S> {
             mispredict_penalty: cfg.mispredict_penalty,
             store_writeback_prob: cfg.store_writeback_prob,
             stream,
+            observes_instructions,
             l1i: SetAssocCache::new(cfg.l1i_bytes, cfg.l1i_ways),
             nl_inflight: FillQueue::new(),
             cur_block: None,
@@ -462,7 +474,7 @@ impl<S: Iterator<Item = FetchRecord>> Core<S> {
                 mem: rec.mem,
                 miss_tag: tag,
             });
-            {
+            if self.observes_instructions {
                 let mut ctx = PrefetchCtx {
                     now,
                     core: self.id,

@@ -47,8 +47,20 @@ pub trait IPrefetcher {
     fn name(&self) -> &'static str;
 
     /// Observes one committed instruction at fetch time (FDIP uses this to
-    /// follow/redirect its exploration; TIFS ignores it).
+    /// follow/redirect its exploration; TIFS ignores it). Called only if
+    /// [`observes_instructions`](IPrefetcher::observes_instructions) says
+    /// so.
     fn on_fetch_instr(&mut self, _ctx: &mut PrefetchCtx<'_>, _rec: &FetchRecord) {}
+
+    /// Whether the core must call
+    /// [`on_fetch_instr`](IPrefetcher::on_fetch_instr) on every fetched
+    /// instruction. [`Cmp::new`](crate::cmp::Cmp::new) asks once; a
+    /// prefetcher whose `on_fetch_instr` does nothing returns `false` and
+    /// saves a call per instruction. The default is `true`, so a wrapper
+    /// that forwards to another prefetcher keeps every call.
+    fn observes_instructions(&self) -> bool {
+        true
+    }
 
     /// The fetch unit transitioned to `block`; `kind` reports the base
     /// system's outcome. On a miss (or an in-flight next-line cover) the
@@ -106,6 +118,10 @@ impl IPrefetcher for NullPrefetcher {
         "next-line"
     }
 
+    fn observes_instructions(&self) -> bool {
+        false
+    }
+
     fn on_block_fetch(
         &mut self,
         _ctx: &mut PrefetchCtx<'_>,
@@ -131,6 +147,10 @@ struct Arrived<T> {
     tag: T,
 }
 
+/// Slots of a buffer's presence counts: a block is counted in slot
+/// `block % PRESENCE_SLOTS`.
+const PRESENCE_SLOTS: usize = 64;
+
 /// A fully associative LRU buffer of prefetched instruction blocks and the
 /// fills still in flight toward it.
 ///
@@ -140,11 +160,18 @@ struct Arrived<T> {
 /// [`discard`](Self::discard) or an eviction of a never-used arrival, which
 /// count a discard (a wasted prefetch, paper Section 6.4), or by a
 /// [`clear`](Self::clear), which counts neither.
+///
+/// Most lookups ask for a block the buffer does not hold (every L1-hit
+/// transition asks the SVB), so the buffer counts its blocks, arrived and
+/// in flight, by `block % 64`: a zero count answers at once, and only a
+/// nonzero one scans.
 #[derive(Clone, Debug)]
 pub struct PrefetchBuffer<T: Copy = ()> {
     /// Arrived blocks, most recent first.
     arrived: Vec<Arrived<T>>,
     in_flight: FillQueue<T>,
+    /// Entries of `arrived` and `in_flight` per presence slot.
+    present: [u32; PRESENCE_SLOTS],
     capacity: usize,
     hits: u64,
     discards: u64,
@@ -157,15 +184,50 @@ impl<T: Copy> PrefetchBuffer<T> {
         PrefetchBuffer {
             arrived: Vec::with_capacity(capacity),
             in_flight: FillQueue::new(),
+            present: [0; PRESENCE_SLOTS],
             capacity,
             hits: 0,
             discards: 0,
         }
     }
 
+    #[inline]
+    fn slot(block: BlockAddr) -> usize {
+        (block.0 % PRESENCE_SLOTS as u64) as usize
+    }
+
+    /// Checks, in debug builds, the presence count of `block`'s slot
+    /// against a scan.
+    #[inline]
+    fn debug_check_slot(&self, block: BlockAddr) {
+        if cfg!(debug_assertions) {
+            let slot = Self::slot(block);
+            let scanned = self
+                .arrived
+                .iter()
+                .filter(|e| Self::slot(e.block) == slot)
+                .count()
+                + self
+                    .in_flight
+                    .iter()
+                    .filter(|e| Self::slot(e.1) == slot)
+                    .count();
+            assert_eq!(
+                self.present[slot] as usize, scanned,
+                "presence count of slot {slot}"
+            );
+        }
+    }
+
     /// Whether `block` is buffered or in flight (the duplicate-issue
     /// filter every issue site applies).
+    #[inline]
     pub fn holds(&self, block: BlockAddr) -> bool {
+        self.debug_check_slot(block);
+        self.present[Self::slot(block)] != 0 && self.scan_holds(block)
+    }
+
+    fn scan_holds(&self, block: BlockAddr) -> bool {
         self.in_flight.contains(block) || self.arrived.iter().any(|e| e.block == block)
     }
 
@@ -173,22 +235,41 @@ impl<T: Copy> PrefetchBuffer<T> {
     /// Callers filter with [`holds`](Self::holds) first.
     pub fn issue(&mut self, block: BlockAddr, ready: u64, tag: T) {
         debug_assert!(!self.holds(block), "{block:?} issued twice");
+        // Counted by the queue's growth: an upsert adds no entry.
+        let before = self.in_flight.len();
         self.in_flight.insert(ready, block, tag);
+        if self.in_flight.len() > before {
+            self.present[Self::slot(block)] += 1;
+        }
     }
 
     /// Removes `block`, buffered first, then in flight.
+    #[inline]
     fn remove(&mut self, block: BlockAddr) -> Option<(u64, T)> {
-        match self.arrived.iter().position(|e| e.block == block) {
+        self.debug_check_slot(block);
+        if self.present[Self::slot(block)] == 0 {
+            return None;
+        }
+        self.scan_remove(block)
+    }
+
+    fn scan_remove(&mut self, block: BlockAddr) -> Option<(u64, T)> {
+        let found = match self.arrived.iter().position(|e| e.block == block) {
             Some(pos) => {
                 let e = self.arrived.remove(pos);
                 Some((e.ready, e.tag))
             }
             None => self.in_flight.remove(block),
+        };
+        if found.is_some() {
+            self.present[Self::slot(block)] -= 1;
         }
+        found
     }
 
     /// Supplies `block` if buffered or in flight, returning its fill-ready
     /// cycle and tag; counts a hit.
+    #[inline]
     pub fn take(&mut self, block: BlockAddr) -> Option<(u64, T)> {
         let found = self.remove(block)?;
         self.hits += 1;
@@ -197,6 +278,7 @@ impl<T: Copy> PrefetchBuffer<T> {
 
     /// Drops `block`, which the L1 already holds, returning its tag;
     /// counts a discard.
+    #[inline]
     pub fn discard(&mut self, block: BlockAddr) -> Option<T> {
         let (_, tag) = self.remove(block)?;
         self.discards += 1;
@@ -205,12 +287,15 @@ impl<T: Copy> PrefetchBuffer<T> {
 
     /// Moves the fills complete by `now` into the buffer, in `(ready,
     /// block)` order, each to the most-recent end. A full buffer evicts
-    /// its oldest arrival, which counts a discard.
-    pub fn drain(&mut self, now: u64) {
+    /// its oldest arrival, which counts a discard and is handed to
+    /// `on_evict` by its tag.
+    pub fn drain(&mut self, now: u64, mut on_evict: impl FnMut(T)) {
         while let Some((ready, block, tag)) = self.in_flight.pop_ready(now) {
             if self.arrived.len() == self.capacity {
-                self.arrived.pop();
+                let evicted = self.arrived.pop().expect("a full buffer");
+                self.present[Self::slot(evicted.block)] -= 1;
                 self.discards += 1;
+                on_evict(evicted.tag);
             }
             self.arrived.insert(0, Arrived { block, ready, tag });
         }
@@ -234,6 +319,7 @@ impl<T: Copy> PrefetchBuffer<T> {
     pub fn clear(&mut self) {
         self.arrived.clear();
         self.in_flight = FillQueue::new();
+        self.present = [0; PRESENCE_SLOTS];
     }
 
     /// Successful supplies.
@@ -278,7 +364,7 @@ mod tests {
     fn arrived(b: &mut PrefetchBuffer, blocks: &[u64]) {
         for &block in blocks {
             b.issue(BlockAddr(block), 0, ());
-            b.drain(0);
+            b.drain(0, |()| {});
         }
     }
 
@@ -286,7 +372,7 @@ mod tests {
     fn take_consumes() {
         let mut b = PrefetchBuffer::new(4);
         b.issue(BlockAddr(1), 10, ());
-        b.drain(10);
+        b.drain(10, |_| {});
         assert_eq!(b.take(BlockAddr(1)), Some((10, ())));
         assert_eq!(b.take(BlockAddr(1)), None, "consumed");
         assert_eq!(b.hits(), 1);
@@ -296,7 +382,7 @@ mod tests {
     fn take_from_flight_counts_a_hit() {
         let mut b = PrefetchBuffer::new(4);
         b.issue(BlockAddr(1), 10, ());
-        b.drain(5);
+        b.drain(5, |()| {});
         assert_eq!(b.take(BlockAddr(1)), Some((10, ())), "still in flight");
         assert_eq!(b.next_arrival(), None, "the fill no longer arrives");
         assert_eq!((b.hits(), b.discards()), (1, 0));
@@ -316,7 +402,7 @@ mod tests {
         let mut b = PrefetchBuffer::new(4);
         b.issue(BlockAddr(1), 10, 7u8);
         b.issue(BlockAddr(2), 10, 8u8);
-        b.drain(10);
+        b.drain(10, |_| {});
         assert_eq!(b.discard(BlockAddr(2)), Some(8));
         assert_eq!(b.discard(BlockAddr(2)), None, "already dropped");
         b.issue(BlockAddr(3), 20, 9u8);
@@ -346,7 +432,9 @@ mod tests {
             b.issue(BlockAddr(block), ready, block);
         }
         assert_eq!(b.next_arrival(), Some(10));
-        b.drain(20);
+        let mut evicted = Vec::new();
+        b.drain(20, |tag| evicted.push(tag));
+        assert_eq!(evicted, [9, 3]);
         assert_eq!(b.discards(), 2, "9 then 3 evicted");
         assert_eq!(b.count(|_| true), 2, "5 buffered, 7 in flight");
         assert!(b.holds(BlockAddr(5)) && !b.holds(BlockAddr(3)));

@@ -2,7 +2,7 @@
 //! open-addressed/sorted replacements must match the std-collection
 //! semantics they displaced, operation for operation.
 //!
-//! Three models:
+//! Four models:
 //!
 //! * [`FillQueue`] vs `HashMap<block, ready>` + the PR 1-era
 //!   sort-before-drain: the queue's structural pop order must equal
@@ -13,6 +13,9 @@
 //! * The flat [`SetAssocCache`] vs a per-set `Vec` reference
 //!   implementation of true LRU (the shape the cache had before it was
 //!   flattened into one contiguous slab), from 1 to 16 ways.
+//! * [`PrefetchBuffer`], which answers a lookup of a block it does not
+//!   hold from per-slot presence counts, vs the buffer that scans its
+//!   arrivals and in-flight queue on every lookup.
 //!
 //! Each case drives both sides through one randomized op sequence and
 //! compares every observable result, not just the final state.
@@ -30,6 +33,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use tifs_collections::{BlockMap, FillQueue};
 use tifs_sim::cache::SetAssocCache;
+use tifs_sim::prefetch::PrefetchBuffer;
 use tifs_trace::BlockAddr;
 
 /// Deterministic op-stream generator (splitmix-style).
@@ -233,5 +237,134 @@ proptest! {
             reference.sets.iter().flatten().copied().collect();
         ref_blocks.sort_unstable();
         prop_assert_eq!(cache.resident_blocks(), ref_blocks);
+    }
+}
+
+/// The prefetch buffer before its presence counts: every lookup scans the
+/// arrived blocks and the in-flight queue.
+struct ScanningBuffer {
+    /// Arrived `(block, ready, tag)`, most recent first.
+    arrived: Vec<(BlockAddr, u64, u8)>,
+    in_flight: FillQueue<u8>,
+    capacity: usize,
+    hits: u64,
+    discards: u64,
+}
+
+impl ScanningBuffer {
+    fn new(capacity: usize) -> ScanningBuffer {
+        ScanningBuffer {
+            arrived: Vec::new(),
+            in_flight: FillQueue::new(),
+            capacity,
+            hits: 0,
+            discards: 0,
+        }
+    }
+
+    fn holds(&self, block: BlockAddr) -> bool {
+        self.in_flight.contains(block) || self.arrived.iter().any(|e| e.0 == block)
+    }
+
+    fn issue(&mut self, block: BlockAddr, ready: u64, tag: u8) {
+        self.in_flight.insert(ready, block, tag);
+    }
+
+    fn remove(&mut self, block: BlockAddr) -> Option<(u64, u8)> {
+        match self.arrived.iter().position(|e| e.0 == block) {
+            Some(pos) => {
+                let (_, ready, tag) = self.arrived.remove(pos);
+                Some((ready, tag))
+            }
+            None => self.in_flight.remove(block),
+        }
+    }
+
+    fn take(&mut self, block: BlockAddr) -> Option<(u64, u8)> {
+        let found = self.remove(block)?;
+        self.hits += 1;
+        Some(found)
+    }
+
+    fn discard(&mut self, block: BlockAddr) -> Option<u8> {
+        let (_, tag) = self.remove(block)?;
+        self.discards += 1;
+        Some(tag)
+    }
+
+    fn drain(&mut self, now: u64, mut on_evict: impl FnMut(u8)) {
+        while let Some((ready, block, tag)) = self.in_flight.pop_ready(now) {
+            if self.arrived.len() == self.capacity {
+                let (_, _, evicted) = self.arrived.pop().expect("a full buffer");
+                self.discards += 1;
+                on_evict(evicted);
+            }
+            self.arrived.insert(0, (block, ready, tag));
+        }
+    }
+
+    fn count(&self, pred: impl Fn(u8) -> bool) -> usize {
+        self.in_flight.iter().filter(|e| pred(e.2)).count()
+            + self.arrived.iter().filter(|e| pred(e.2)).count()
+    }
+
+    fn clear(&mut self) {
+        self.arrived.clear();
+        self.in_flight = FillQueue::new();
+    }
+}
+
+proptest! {
+    #[test]
+    fn presence_counted_buffer_matches_scanning_buffer(
+        seed in 0u64..3_000,
+        capacity in prop_oneof![Just(1usize), Just(2usize), Just(32usize)],
+    ) {
+        let mut rng = Rng(seed);
+        let mut buffer: PrefetchBuffer<u8> = PrefetchBuffer::new(capacity);
+        let mut reference = ScanningBuffer::new(capacity);
+        let mut now = 0u64;
+        for _ in 0..400 {
+            // Five blocks share each of three presence slots, so a
+            // slot's count is nonzero while the block asked for is gone.
+            let block = BlockAddr(64 * (rng.next() % 5) + rng.next() % 3);
+            let tag = (rng.next() % 4) as u8;
+            match rng.next() % 8 {
+                0..=2 => {
+                    // Issue sites filter duplicates with `holds` first.
+                    let held = buffer.holds(block);
+                    prop_assert_eq!(held, reference.holds(block));
+                    if !held {
+                        let ready = now + rng.next() % 40;
+                        buffer.issue(block, ready, tag);
+                        reference.issue(block, ready, tag);
+                    }
+                }
+                3 => {
+                    now += rng.next() % 20;
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    buffer.drain(now, |t| got.push(t));
+                    reference.drain(now, |t| want.push(t));
+                    prop_assert_eq!(got, want, "evictions");
+                }
+                4 => prop_assert_eq!(buffer.take(block), reference.take(block)),
+                5 => prop_assert_eq!(buffer.discard(block), reference.discard(block)),
+                6 => prop_assert_eq!(buffer.holds(block), reference.holds(block)),
+                _ => {
+                    if rng.next() % 8 == 0 {
+                        buffer.clear();
+                        reference.clear();
+                    } else {
+                        prop_assert_eq!(
+                            buffer.count(|t| t == tag),
+                            reference.count(|t| t == tag)
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(buffer.count(|_| true), reference.count(|_| true));
+            prop_assert_eq!((buffer.hits(), buffer.discards()), (reference.hits, reference.discards));
+            prop_assert_eq!(buffer.next_arrival(), reference.in_flight.iter().last().map(|e| e.0));
+        }
     }
 }

@@ -390,11 +390,21 @@ impl<'p> Walker<'p> {
         self.transactions += 1;
     }
 
+    /// Counts one instruction toward the next trap; at 0 the trap fires.
+    /// The countdown is in line in every caller, the firing is not.
+    #[inline]
     fn maybe_enter_trap(&mut self) -> bool {
         if self.trap_countdown > 0 {
             self.trap_countdown -= 1;
             return false;
         }
+        self.enter_trap()
+    }
+
+    /// The trap countdown ran out: draws the next gap and enters a
+    /// handler, unless one is running or there are none.
+    #[cold]
+    fn enter_trap(&mut self) -> bool {
         self.trap_countdown = Self::draw_trap_gap(&mut self.rng, self.config.trap_period);
         if self.in_trap || self.config.trap_handlers.is_empty() {
             return false;
@@ -406,6 +416,10 @@ impl<'p> Walker<'p> {
         true
     }
 
+    /// Counts one instruction toward the next context switch, if they
+    /// are enabled; at 0 the switch fires and the next gap is drawn out
+    /// of line.
+    #[inline]
     fn maybe_context_switch(&mut self) -> bool {
         if self.ctx_countdown == u64::MAX {
             return false;
@@ -414,8 +428,13 @@ impl<'p> Walker<'p> {
             self.ctx_countdown -= 1;
             return false;
         }
-        self.ctx_countdown = Self::draw_trap_gap(&mut self.rng, self.config.ctx_switch_period);
+        self.redraw_context_switch();
         true
+    }
+
+    #[cold]
+    fn redraw_context_switch(&mut self) {
+        self.ctx_countdown = Self::draw_trap_gap(&mut self.rng, self.config.ctx_switch_period);
     }
 
     /// Picks where execution continues once the call stack has drained:
