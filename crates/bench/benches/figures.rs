@@ -53,23 +53,24 @@ fn bench_fig01_kernel(c: &mut Criterion) {
 }
 
 fn bench_trace_analyses(c: &mut Criterion) {
-    let cfg = small();
+    // The lab is built and its miss traces walked before the group, so
+    // each bench times its analysis, not six workload builds and 24 walks.
+    let lab = Lab::all_six(small());
+    for i in 0..lab.len() {
+        lab.miss_traces(i);
+    }
     let mut g = c.benchmark_group("analyses");
     g.sample_size(10);
     g.bench_function("fig03_categorization", |b| {
-        b.iter(|| fig03::run_on(&Lab::all_six(cfg)).len())
+        b.iter(|| fig03::run_on(&lab).len())
     });
     g.bench_function("fig05_stream_lengths", |b| {
-        b.iter(|| fig05::run_on(&Lab::all_six(cfg)).len())
+        b.iter(|| fig05::run_on(&lab).len())
     });
-    g.bench_function("fig06_heuristics", |b| {
-        b.iter(|| fig06::run_on(&Lab::all_six(cfg)).len())
-    });
-    g.bench_function("fig10_lookahead", |b| {
-        b.iter(|| fig10::run_on(&Lab::all_six(cfg)).len())
-    });
+    g.bench_function("fig06_heuristics", |b| b.iter(|| fig06::run_on(&lab).len()));
+    g.bench_function("fig10_lookahead", |b| b.iter(|| fig10::run_on(&lab).len()));
     g.bench_function("fig11_capacity_sweep", |b| {
-        b.iter(|| fig11::run_on(&Lab::all_six(cfg)).len())
+        b.iter(|| fig11::run_on(&lab).len())
     });
     g.finish();
 }

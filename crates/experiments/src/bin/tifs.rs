@@ -12,7 +12,6 @@
 //! `.tifs-cache/reports`) attached, so a second run is a pure warm start:
 //! the trace analyses stream their miss traces back from disk and every
 //! timing cell's `SimReport` is served from the report store.
-//! `TIFS_STORE_MAX_BYTES` bounds each store with LRU GC, and
 //! `TIFS_THREADS` overrides the worker count. Each table and figure
 //! prints its report as a table (`sink::to_text`) and writes it as
 //! canonical JSON/CSV (`TIFS_RESULTS`, default `results/`),
@@ -145,12 +144,11 @@ fn main() -> ExitCode {
 
 fn footer(store: &str, s: StoreStats, root: &Path) {
     println!(
-        "[{store} store] {} hits, {} misses, {} writes, {} evictions, {} gc-evictions ({})",
+        "[{store} store] {} hits, {} misses, {} writes, {} evictions ({})",
         s.hits,
         s.misses,
         s.writes,
         s.evictions,
-        s.gc_evictions,
         root.display()
     );
 }

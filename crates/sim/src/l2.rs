@@ -278,15 +278,10 @@ impl L2 {
         self.directory.peek(block)
     }
 
-    /// Drains instruction blocks evicted since the last call (for
-    /// Index-Table invalidation in the embedded-tags organization).
-    pub fn take_evictions(&mut self) -> Vec<BlockAddr> {
-        std::mem::take(&mut self.evictions)
-    }
-
-    /// Swaps the pending-eviction list with `buf` (which must be empty),
-    /// letting a caller that polls every cycle reuse one buffer instead
-    /// of reallocating via [`take_evictions`](Self::take_evictions).
+    /// Drains the instruction blocks evicted since the last call into
+    /// `buf`, which must be empty (for Index-Table invalidation in the
+    /// embedded-tags organization). Swapping lets a caller that polls
+    /// every cycle reuse one buffer instead of reallocating.
     pub fn swap_evictions(&mut self, buf: &mut Vec<BlockAddr>) {
         debug_assert!(buf.is_empty());
         std::mem::swap(&mut self.evictions, buf);
@@ -387,9 +382,12 @@ mod tests {
             c.request(now, BlockAddr(i), L2ReqKind::IFetch, None);
             now += 1000;
         }
-        let ev = c.take_evictions();
+        let mut ev = Vec::new();
+        c.swap_evictions(&mut ev);
         assert!(!ev.is_empty(), "direct-mapped tiny cache must evict");
-        assert!(c.take_evictions().is_empty(), "drained");
+        let mut again = Vec::new();
+        c.swap_evictions(&mut again);
+        assert!(again.is_empty(), "drained");
     }
 
     #[test]

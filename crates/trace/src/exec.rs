@@ -231,7 +231,6 @@ pub struct Walker<'p> {
     /// already point past them.
     run: Run,
     instructions: u64,
-    transactions: u64,
 }
 
 impl<'p> Walker<'p> {
@@ -261,7 +260,6 @@ impl<'p> Walker<'p> {
             idle_pos: 0,
             run: Run::default(),
             instructions: 0,
-            transactions: 0,
         }
     }
 
@@ -269,11 +267,6 @@ impl<'p> Walker<'p> {
     #[inline]
     pub fn instructions(&self) -> u64 {
         self.instructions
-    }
-
-    /// Transactions started so far.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
     }
 
     fn draw_trap_gap(rng: &mut SmallRng, period: u64) -> u64 {
@@ -387,7 +380,6 @@ impl<'p> Walker<'p> {
             func: entry,
             idx: 0,
         });
-        self.transactions += 1;
     }
 
     /// Counts one instruction toward the next trap; at 0 the trap fires.

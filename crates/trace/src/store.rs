@@ -28,10 +28,7 @@
 //! variable and the report store by `TIFS_REPORT_STORE`: unset uses the
 //! default directory ([`DEFAULT_STORE_DIR`] / [`DEFAULT_REPORT_STORE_DIR`]),
 //! a path selects that directory, and `off` / `0` / `none` disables
-//! persistence entirely for hermetic runs. `TIFS_STORE_MAX_BYTES`
-//! bounds each store's total entry bytes with deterministic LRU garbage
-//! collection (persisted generation stamps; see
-//! [`TraceStore::with_max_bytes`]).
+//! persistence entirely for hermetic runs.
 
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -55,26 +52,6 @@ pub const REPORT_STORE_ENV: &str = "TIFS_REPORT_STORE";
 
 /// Default report store directory, relative to the working directory.
 pub const DEFAULT_REPORT_STORE_DIR: &str = ".tifs-cache/reports";
-
-/// Environment variable bounding each store's total entry bytes. Unset
-/// (the default) leaves stores unbounded; a byte count enables LRU
-/// garbage collection after every write (see [`TraceStore::with_max_bytes`]).
-pub const STORE_MAX_BYTES_ENV: &str = "TIFS_STORE_MAX_BYTES";
-
-/// The size bound selected by [`STORE_MAX_BYTES_ENV`], if any (unset,
-/// empty, zero, or unparsable values leave the store unbounded).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "TIFS_STORE_MAX_BYTES bounds cache disk use, not trace bytes"
-)]
-pub fn max_bytes_from_env() -> Option<u64> {
-    std::env::var(STORE_MAX_BYTES_ENV)
-        .ok()?
-        .replace('_', "")
-        .parse::<u64>()
-        .ok()
-        .filter(|&v| v > 0)
-}
 
 /// 128-bit FNV-1a fingerprint builder over a canonical byte
 /// serialization. This is the one hashing scheme behind every store key:
@@ -271,161 +248,65 @@ pub struct StoreStats {
     pub writes: u64,
     /// Corrupt or mismatched entries deleted.
     pub evictions: u64,
-    /// Healthy entries deleted by size-bounded garbage collection.
+    /// Always 0: stores delete no healthy entry. The field stays because
+    /// the benchmark's store-health check (`perfbench/src/checks.rs`)
+    /// reads it.
     pub gc_evictions: u64,
 }
 
 /// The machinery shared by both stores: a root directory, activity
-/// counters, loud eviction, the atomic temp-file + rename write
-/// protocol, and (when bounded) LRU garbage collection. All operations
-/// are `&self` and thread-safe.
+/// counters, loud eviction and the atomic temp-file + rename write
+/// protocol. All operations are `&self` and thread-safe.
 #[derive(Debug)]
 struct StoreCore {
     root: PathBuf,
     label: &'static str,
-    /// Entry file extension (with the dot), for GC enumeration.
-    ext: &'static str,
-    /// Total entry bytes allowed before GC kicks in; `None` = unbounded.
-    max_bytes: Option<u64>,
-    /// Monotonic access counter backing the LRU order. Persisted as one
-    /// sidecar stamp file per entry (`<entry>.gen`), so recency survives
-    /// process restarts and the eviction order is a pure function of the
-    /// operation history — never of wall-clock time or directory order.
-    generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
     evictions: AtomicU64,
-    gc_evictions: AtomicU64,
     tmp_seq: AtomicU64,
 }
 
-/// Sidecar generation-stamp path of an entry.
-fn gen_path(entry: &Path) -> PathBuf {
-    let mut os = entry.as_os_str().to_os_string();
-    os.push(".gen");
-    PathBuf::from(os)
-}
-
-fn read_gen(entry: &Path) -> u64 {
-    fs::read(gen_path(entry))
-        .ok()
-        .and_then(|b| <[u8; 8]>::try_from(b.as_slice()).ok())
-        .map(u64::from_le_bytes)
-        .unwrap_or(0)
-}
-
 impl StoreCore {
-    fn new(
-        root: impl Into<PathBuf>,
-        label: &'static str,
-        ext: &'static str,
-    ) -> io::Result<StoreCore> {
+    fn new(root: impl Into<PathBuf>, label: &'static str) -> io::Result<StoreCore> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        // Resume the generation counter past every persisted stamp so
-        // recency keeps accumulating across processes.
-        let mut next_gen = 0;
-        if let Ok(rd) = fs::read_dir(&root) {
-            for e in rd.flatten() {
-                if e.file_name().to_string_lossy().ends_with(".gen") {
-                    let stamp = fs::read(e.path())
-                        .ok()
-                        .and_then(|b| <[u8; 8]>::try_from(b.as_slice()).ok())
-                        .map(u64::from_le_bytes)
-                        .unwrap_or(0);
-                    next_gen = next_gen.max(stamp + 1);
-                }
-            }
-        }
         Ok(StoreCore {
             root,
             label,
-            ext,
-            max_bytes: None,
-            generation: AtomicU64::new(next_gen),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            gc_evictions: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
     }
 
-    /// Stamps an entry with the next access generation (LRU bookkeeping;
-    /// only maintained for bounded stores).
-    fn touch(&self, entry: &Path) {
-        if self.max_bytes.is_none() {
-            return;
-        }
-        let g = self.generation.fetch_add(1, Ordering::Relaxed);
-        let _ = fs::write(gen_path(entry), g.to_le_bytes());
-    }
-
-    /// Evicts least-recently-used entries until the store fits its bound
-    /// again. `just_saved` is never evicted (a single entry larger than
-    /// the bound would otherwise thrash forever). The order is
-    /// deterministic: ascending (generation, file name) over the
-    /// persisted stamps, independent of directory iteration order.
-    ///
-    /// The pass rescans the directory on every bounded write rather than
-    /// caching totals in memory: stores are shared between processes, so
-    /// an in-memory index goes stale the moment another writer lands an
-    /// entry. The scan only runs when a bound is configured.
-    fn gc(&self, just_saved: &Path) {
-        let Some(max) = self.max_bytes else { return };
-        let Ok(rd) = fs::read_dir(&self.root) else {
-            return;
-        };
-        let mut entries: Vec<(u64, String, u64)> = Vec::new();
-        let mut total: u64 = 0;
-        for e in rd.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if !name.ends_with(self.ext) {
-                continue;
-            }
-            let size = e.metadata().map(|m| m.len()).unwrap_or(0);
-            total += size;
-            entries.push((read_gen(&e.path()), name, size));
-        }
-        if total <= max {
-            return;
-        }
-        entries.sort();
-        for (generation, name, size) in entries {
-            if total <= max {
-                break;
-            }
-            let path = self.root.join(&name);
-            if path == just_saved {
-                continue;
-            }
-            eprintln!(
-                "[{}] GC evicting {} ({size} bytes, generation {generation}) to fit {max}-byte bound",
-                self.label,
-                path.display()
-            );
-            let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(gen_path(&path));
-            self.gc_evictions.fetch_add(1, Ordering::Relaxed);
-            total = total.saturating_sub(size);
-        }
-    }
-
-    /// Resolves `var` to a store directory: `None` when the variable
-    /// disables persistence (`off` / `0` / `none` / empty), else the
+    /// Opens the store that `var` selects: `None` when the variable
+    /// disables persistence (`off` / `0` / `none` / empty) or when the
+    /// directory cannot be created (warned on stderr); otherwise the
     /// named directory, defaulting to `default_dir`.
     #[expect(
         clippy::disallowed_methods,
         reason = "callers pass the TIFS_TRACE_STORE / TIFS_REPORT_STORE knobs; \
                   the directory choice never reaches simulated state"
     )]
-    fn dir_from_env(var: &str, default_dir: &str) -> Option<PathBuf> {
-        match std::env::var(var) {
-            Ok(v) if matches!(v.as_str(), "off" | "0" | "none" | "") => None,
-            Ok(v) => Some(PathBuf::from(v)),
-            Err(_) => Some(PathBuf::from(default_dir)),
+    fn from_env(var: &str, default_dir: &str, label: &'static str) -> Option<StoreCore> {
+        let dir = match std::env::var(var) {
+            Ok(v) if matches!(v.as_str(), "off" | "0" | "none" | "") => return None,
+            Ok(v) => PathBuf::from(v),
+            Err(_) => PathBuf::from(default_dir),
+        };
+        match StoreCore::new(&dir, label) {
+            Ok(core) => Some(core),
+            Err(e) => {
+                eprintln!(
+                    "[{label}] cannot open {}: {e}; persistence disabled",
+                    dir.display()
+                );
+                None
+            }
         }
     }
 
@@ -435,7 +316,7 @@ impl StoreCore {
             misses: self.misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            gc_evictions: self.gc_evictions.load(Ordering::Relaxed),
+            gc_evictions: 0,
         }
     }
 
@@ -457,7 +338,6 @@ impl StoreCore {
         match parse(&mut BufReader::new(file)) {
             Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(path);
                 Some(value)
             }
             Err(e) => {
@@ -476,7 +356,6 @@ impl StoreCore {
             path.display()
         );
         let _ = fs::remove_file(path);
-        let _ = fs::remove_file(gen_path(path));
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -506,8 +385,6 @@ impl StoreCore {
         }
         fs::rename(&tmp, &path).map_err(CodecError::Io)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.touch(&path);
-        self.gc(&path);
         Ok(path)
     }
 }
@@ -525,39 +402,17 @@ impl TraceStore {
     /// Opens (creating if needed) a store rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<TraceStore> {
         Ok(TraceStore {
-            core: StoreCore::new(root, "trace-store", ".tifm")?,
+            core: StoreCore::new(root, "trace-store")?,
         })
-    }
-
-    /// Bounds the store's total entry bytes: after every write, the
-    /// least-recently-used entries (by persisted access-generation stamp,
-    /// ties by file name — a fully deterministic order) are evicted until
-    /// the store fits. The entry just written is never evicted.
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> TraceStore {
-        self.core.max_bytes = Some(max_bytes);
-        self
     }
 
     /// Opens the store selected by [`STORE_ENV`]: `None` when the
     /// variable disables it (`off` / `0` / `none` / empty) or when the
     /// directory cannot be created (warned on stderr); otherwise the
-    /// named directory, defaulting to [`DEFAULT_STORE_DIR`], bounded by
-    /// [`STORE_MAX_BYTES_ENV`] when that is set.
+    /// named directory, defaulting to [`DEFAULT_STORE_DIR`].
     pub fn from_env() -> Option<TraceStore> {
-        let dir = StoreCore::dir_from_env(STORE_ENV, DEFAULT_STORE_DIR)?;
-        match TraceStore::new(&dir) {
-            Ok(mut store) => {
-                store.core.max_bytes = max_bytes_from_env();
-                Some(store)
-            }
-            Err(e) => {
-                eprintln!(
-                    "[trace-store] cannot open {}: {e}; persistence disabled",
-                    dir.display()
-                );
-                None
-            }
-        }
+        StoreCore::from_env(STORE_ENV, DEFAULT_STORE_DIR, "trace-store")
+            .map(|core| TraceStore { core })
     }
 
     /// The store's root directory.
@@ -632,37 +487,17 @@ impl ReportStore {
     /// Opens (creating if needed) a store rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<ReportStore> {
         Ok(ReportStore {
-            core: StoreCore::new(root, "report-store", ".tifr")?,
+            core: StoreCore::new(root, "report-store")?,
         })
-    }
-
-    /// Bounds the store's total entry bytes (LRU eviction after every
-    /// write; see [`TraceStore::with_max_bytes`]).
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> ReportStore {
-        self.core.max_bytes = Some(max_bytes);
-        self
     }
 
     /// Opens the store selected by [`REPORT_STORE_ENV`]: `None` when the
     /// variable disables it (`off` / `0` / `none` / empty) or when the
     /// directory cannot be created (warned on stderr); otherwise the
-    /// named directory, defaulting to [`DEFAULT_REPORT_STORE_DIR`],
-    /// bounded by [`STORE_MAX_BYTES_ENV`] when that is set.
+    /// named directory, defaulting to [`DEFAULT_REPORT_STORE_DIR`].
     pub fn from_env() -> Option<ReportStore> {
-        let dir = StoreCore::dir_from_env(REPORT_STORE_ENV, DEFAULT_REPORT_STORE_DIR)?;
-        match ReportStore::new(&dir) {
-            Ok(mut store) => {
-                store.core.max_bytes = max_bytes_from_env();
-                Some(store)
-            }
-            Err(e) => {
-                eprintln!(
-                    "[report-store] cannot open {}: {e}; persistence disabled",
-                    dir.display()
-                );
-                None
-            }
-        }
+        StoreCore::from_env(REPORT_STORE_ENV, DEFAULT_REPORT_STORE_DIR, "report-store")
+            .map(|core| ReportStore { core })
     }
 
     /// The store's root directory.
@@ -812,121 +647,6 @@ mod tests {
         assert_eq!(store.load(&key), None);
         assert_eq!(store.stats().evictions, 1);
         let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn gc_evicts_least_recently_used_first() {
-        let dir = temp_dir("gc-lru");
-        // Each entry: 32-byte header + body + 8-byte checksum; one
-        // 3-symbol section costs ~48 bytes. Bound the store to about two
-        // entries.
-        let sections = vec![vec![1u64, 2, 3]];
-        let entry_size = {
-            let probe = TraceStore::new(temp_dir("gc-size")).unwrap();
-            let p = probe.save(&TraceKey(0), &sections).unwrap();
-            let size = fs::metadata(&p).unwrap().len();
-            let _ = fs::remove_dir_all(probe.root());
-            size
-        };
-        let store = TraceStore::new(&dir)
-            .unwrap()
-            .with_max_bytes(entry_size * 2);
-        let (a, b, c) = (TraceKey(0xA), TraceKey(0xB), TraceKey(0xC));
-        store.save(&a, &sections).unwrap();
-        store.save(&b, &sections).unwrap();
-        assert_eq!(store.stats().gc_evictions, 0, "two entries fit");
-        // Touch A: B becomes the least recently used.
-        assert!(store.load(&a).is_some());
-        store.save(&c, &sections).unwrap();
-        assert_eq!(store.stats().gc_evictions, 1);
-        assert!(store.load(&a).is_some(), "recently-touched entry survives");
-        assert!(store.load(&c).is_some(), "just-written entry survives");
-        assert!(
-            !store.entry_path(&b).exists(),
-            "least-recently-used entry must be the one evicted"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_eviction_order_is_deterministic_and_survives_reopen() {
-        // The same operation history must select the same victims, run
-        // after run — the LRU order lives in persisted generation stamps,
-        // not in mtimes or directory order — and the generation counter
-        // must resume past persisted stamps after a reopen.
-        let sections = vec![vec![9u64; 16]];
-        let survivors = |tag: &str| {
-            let dir = temp_dir(tag);
-            let entry_size = {
-                let probe = TraceStore::new(&dir).unwrap();
-                let p = probe.save(&TraceKey(0), &sections).unwrap();
-                let size = fs::metadata(&p).unwrap().len();
-                fs::remove_file(&p).unwrap();
-                size
-            };
-            let store = TraceStore::new(&dir)
-                .unwrap()
-                .with_max_bytes(entry_size * 3);
-            for k in 1..=3u128 {
-                store.save(&TraceKey(k), &sections).unwrap();
-            }
-            assert!(store.load(&TraceKey(1)).is_some());
-            drop(store);
-            // Reopen: recency must carry over, so entry 2 (not the
-            // just-touched 1) is the LRU victim of the next write.
-            let reopened = TraceStore::new(&dir)
-                .unwrap()
-                .with_max_bytes(entry_size * 3);
-            reopened.save(&TraceKey(4), &sections).unwrap();
-            let mut alive: Vec<u128> = (1..=4u128)
-                .filter(|&k| reopened.entry_path(&TraceKey(k)).exists())
-                .collect();
-            alive.sort_unstable();
-            let _ = fs::remove_dir_all(&dir);
-            alive
-        };
-        let first = survivors("gc-det-1");
-        assert_eq!(first, vec![1, 3, 4], "entry 2 is the LRU victim");
-        assert_eq!(first, survivors("gc-det-2"), "eviction order must repeat");
-    }
-
-    #[test]
-    fn report_store_gc_bounds_size_too() {
-        let dir = temp_dir("gc-report");
-        let payload = vec![0u8; 100];
-        let entry_size = {
-            let probe = ReportStore::new(&dir).unwrap();
-            let p = probe.save(&ReportKey(0), &payload).unwrap();
-            let size = fs::metadata(&p).unwrap().len();
-            fs::remove_file(&p).unwrap();
-            size
-        };
-        let store = ReportStore::new(&dir)
-            .unwrap()
-            .with_max_bytes(entry_size * 2);
-        for k in 1..=5u128 {
-            store.save(&ReportKey(k), &payload).unwrap();
-        }
-        assert_eq!(store.stats().gc_evictions, 3);
-        assert!(store.load(&ReportKey(4)).is_some());
-        assert!(store.load(&ReportKey(5)).is_some());
-        assert!(!store.entry_path(&ReportKey(1)).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unbounded_stores_write_no_stamp_files() {
-        let dir = temp_dir("gc-off");
-        let store = TraceStore::new(&dir).unwrap();
-        store.save(&TraceKey(1), &[vec![1u64]]).unwrap();
-        assert!(store.load(&TraceKey(1)).is_some());
-        let stamps = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".gen"))
-            .count();
-        assert_eq!(stamps, 0, "unbounded stores stay sidecar-free");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
